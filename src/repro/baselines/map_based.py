@@ -26,7 +26,7 @@ from repro.sim.com import ViewAccumulator
 from repro.sim.local_model import NodeContext, run_sync
 from repro.views.election_index import election_index
 from repro.views.order import view_min
-from repro.views.view import views_of_graph
+from repro.views.view import View, views_of_graph
 
 
 def _text_to_bits(text: str) -> Bits:
@@ -48,23 +48,56 @@ def map_advice(g: PortGraph, phi: Optional[int] = None) -> Bits:
     return concat_bits([encode_uint(phi), _text_to_bits(to_json(g))])
 
 
+class DecodedMap:
+    """The decoded map advice, shared by every node of a run.
+
+    The map's depth-phi views and its leader are a pure function of the
+    advice; they are computed on the first node's request, when it has
+    acquired its own depth-phi view (not at decode time, so a corrupt phi
+    costs nothing before a node reaches it), and then shared.
+    """
+
+    __slots__ = ("phi", "graph", "_nodes_by_view", "_leader")
+
+    def __init__(self, phi: int, graph: PortGraph):
+        self.phi = phi
+        self.graph = graph
+        self._nodes_by_view: Optional[Dict[View, List[int]]] = None
+        self._leader: Optional[int] = None
+
+    def locate(self, view: View) -> Tuple[List[int], int]:
+        """(the map nodes whose depth-phi view is ``view``, the leader)."""
+        if self._nodes_by_view is None:
+            g = self.graph
+            map_views = views_of_graph(g, self.phi)
+            nodes_by_view: Dict[View, List[int]] = {}
+            for v in g.nodes():
+                nodes_by_view.setdefault(map_views[v], []).append(v)
+            self._leader = nodes_by_view[view_min(map_views)][0]
+            self._nodes_by_view = nodes_by_view
+        return self._nodes_by_view.get(view, []), self._leader
+
+
+def decode_map_advice(advice: Bits) -> DecodedMap:
+    """The node-side decode of :func:`map_advice`."""
+    parts = decode_concat(advice)
+    if len(parts) != 2:
+        raise AdviceError("map advice must be Concat(bin(phi), map)")
+    return DecodedMap(decode_uint(parts[0]), from_json(_bits_to_text(parts[1])))
+
+
 class MapBasedAlgorithm:
     """Per-node algorithm: decode the map, COM for phi rounds, locate
     yourself, walk to the canonical leader."""
 
     def __init__(self):
         self._acc: Optional[ViewAccumulator] = None
-        self._phi: Optional[int] = None
-        self._map: Optional[PortGraph] = None
+        self._map: Optional[DecodedMap] = None
 
     def setup(self, ctx: NodeContext) -> None:
         if ctx.advice is None:
             raise AdviceError("map-based election requires the map advice")
-        parts = decode_concat(ctx.advice)
-        if len(parts) != 2:
-            raise AdviceError("map advice must be Concat(bin(phi), map)")
-        self._phi = decode_uint(parts[0])
-        self._map = from_json(_bits_to_text(parts[1]))
+        self._map = ctx.decoded(decode_map_advice)
         self._acc = ViewAccumulator(ctx.degree)
 
     def compose(self, ctx: NodeContext):
@@ -72,20 +105,15 @@ class MapBasedAlgorithm:
 
     def deliver(self, ctx: NodeContext, inbox) -> None:
         self._acc.absorb(inbox)
-        if ctx.has_output or self._acc.depth < self._phi:
+        if ctx.has_output or self._acc.depth < self._map.phi:
             return
-        g = self._map
-        map_views = views_of_graph(g, self._phi)
-        matches = [v for v in g.nodes() if map_views[v] is self._acc.view]
+        matches, leader = self._map.locate(self._acc.view)
         if len(matches) != 1:
             raise AlgorithmError(
                 f"self-localization found {len(matches)} map nodes with my "
                 "view; the map or phi in the advice is wrong"
             )
-        me = matches[0]
-        leader_view = view_min(map_views)
-        leader = next(v for v in g.nodes() if map_views[v] is leader_view)
-        ctx.output(_lex_shortest_port_path(g, me, leader))
+        ctx.output(_lex_shortest_port_path(self._map.graph, matches[0], leader))
 
 
 def _lex_shortest_port_path(g: PortGraph, start: int, goal: int) -> Tuple[int, ...]:

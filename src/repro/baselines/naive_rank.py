@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.coding.bitstring import Bits
 from repro.coding.concat import concat_bits, decode_concat
 from repro.coding.integers import decode_uint, encode_uint
-from repro.coding.trees import LabeledRootedTree, decode_tree, encode_tree
+from repro.coding.trees import RootPathIndex, decode_tree, encode_tree
 from repro.core.advice import canonical_bfs_tree
 from repro.core.verify import verify_election
 from repro.errors import AdviceError, AlgorithmError
@@ -70,6 +70,20 @@ def naive_rank_advice(g: PortGraph, phi: Optional[int] = None) -> Bits:
     )
 
 
+def decode_naive_rank_advice(
+    advice: Bits,
+) -> Tuple[int, Dict[str, int], RootPathIndex]:
+    """The node-side decode of :func:`naive_rank_advice`: phi, the rank of
+    every listed view code, and the root-path index of the tree."""
+    parts = decode_concat(advice)
+    if len(parts) != 3:
+        raise AdviceError("naive advice must have (phi, codes, tree)")
+    phi = decode_uint(parts[0])
+    codes = decode_concat(parts[1])
+    ranks = {bits.as_str(): i + 1 for i, bits in enumerate(codes)}
+    return phi, ranks, RootPathIndex(decode_tree(parts[2]))
+
+
 class NaiveRankAlgorithm:
     """Per-node algorithm for the naive advice."""
 
@@ -77,18 +91,12 @@ class NaiveRankAlgorithm:
         self._acc: Optional[ViewAccumulator] = None
         self._phi: Optional[int] = None
         self._ranks: Optional[Dict[str, int]] = None
-        self._tree: Optional[LabeledRootedTree] = None
+        self._tree: Optional[RootPathIndex] = None
 
     def setup(self, ctx: NodeContext) -> None:
         if ctx.advice is None:
             raise AdviceError("naive-rank election requires advice")
-        parts = decode_concat(ctx.advice)
-        if len(parts) != 3:
-            raise AdviceError("naive advice must have (phi, codes, tree)")
-        self._phi = decode_uint(parts[0])
-        codes = decode_concat(parts[1])
-        self._ranks = {bits.as_str(): i + 1 for i, bits in enumerate(codes)}
-        self._tree = decode_tree(parts[2])
+        self._phi, self._ranks, self._tree = ctx.decoded(decode_naive_rank_advice)
         self._acc = ViewAccumulator(ctx.degree)
 
     def compose(self, ctx: NodeContext):

@@ -44,13 +44,21 @@ class LabeledRootedTree:
 
     def size(self) -> int:
         """Number of nodes in the subtree."""
-        return 1 + sum(c.size() for _, _, c in self.children)
+        count = 0
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            count += 1
+            stack.extend(child for _, _, child in node.children)
+        return count
 
     def iter_nodes(self) -> Iterator["LabeledRootedTree"]:
         """DFS preorder over subtree nodes (children in port order)."""
-        yield self
-        for _, _, child in sorted(self.children, key=lambda t: t[0]):
-            yield from child.iter_nodes()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(child for _, _, child in reversed(_port_order(node)))
 
     def labels(self) -> List[int]:
         """All labels in DFS preorder."""
@@ -70,36 +78,79 @@ class LabeledRootedTree:
         edge is traversed from the current node through its local port
         ``p_i``, arriving through port ``q_i`` at the other end.
 
+        O(n) per call; build a :class:`RootPathIndex` once to answer many.
         Raises :class:`CodingError` if the label is absent.
         """
-
-        def walk(node: "LabeledRootedTree") -> Optional[List[Tuple[int, int]]]:
-            if node.label == label:
-                return []
-            for port_parent, port_child, child in node.children:
-                rest = walk(child)
-                if rest is not None:
-                    # the upward step out of `child` uses the child's port
-                    # first, then the parent's port
-                    rest.append((port_child, port_parent))
-                    return rest
-            return None
-
-        result = walk(self)
-        if result is None:
-            raise CodingError(f"label {label} not present in tree")
-        return result
+        return RootPathIndex(self).path_to_root_ports(label)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabeledRootedTree):
             return NotImplemented
-        if self.label != other.label:
-            return False
-        mine = sorted(self.children, key=lambda t: t[0])
-        theirs = sorted(other.children, key=lambda t: t[0])
-        return mine == theirs
+        stack = [(self, other)]
+        while stack:
+            mine, theirs = stack.pop()
+            if mine.label != theirs.label:
+                return False
+            if len(mine.children) != len(theirs.children):
+                return False
+            for (p, q, a), (p2, q2, b) in zip(_port_order(mine), _port_order(theirs)):
+                if p != p2 or q != q2:
+                    return False
+                if a is not b:
+                    stack.append((a, b))
+        return True
 
     __hash__ = None  # type: ignore[assignment]  # mutable
+
+
+def _port_order(
+    node: LabeledRootedTree,
+) -> List[Tuple[int, int, LabeledRootedTree]]:
+    """A node's children sorted by the parent-side port (stable)."""
+    return sorted(node.children, key=lambda t: t[0])
+
+
+class RootPathIndex:
+    """Every node's path to the root, indexed in one pass over the tree.
+
+    ``label -> position`` keeps the first node carrying each label in DFS
+    preorder (children in insertion order), the node the label search of
+    :meth:`LabeledRootedTree.path_to_root_ports` finds; ``position ->
+    (parent position, port at the node, port at the parent)`` then walks
+    up.  A path costs O(depth) instead of a DFS of the whole tree, which
+    is what lets all n nodes of a run look up their output paths from one
+    shared index.  Read-only after construction.
+    """
+
+    __slots__ = ("_position", "_up")
+
+    def __init__(self, tree: LabeledRootedTree):
+        position: Dict[int, int] = {}
+        up: List[Tuple[int, int, int]] = []
+        stack = [(tree, -1, 0, 0)]
+        while stack:
+            node, parent, port_here, port_parent = stack.pop()
+            here = len(up)
+            up.append((parent, port_here, port_parent))
+            position.setdefault(node.label, here)
+            for port_at_parent, port_at_child, child in reversed(node.children):
+                stack.append((child, here, port_at_child, port_at_parent))
+        self._position = position
+        self._up = up
+
+    def path_to_root_ports(self, label: int) -> List[Tuple[int, int]]:
+        """See :meth:`LabeledRootedTree.path_to_root_ports`."""
+        here = self._position.get(label)
+        if here is None:
+            raise CodingError(f"label {label} not present in tree")
+        up = self._up
+        path: List[Tuple[int, int]] = []
+        parent, port_here, port_parent = up[here]
+        while parent >= 0:
+            # the upward step uses the child's port first, then the parent's
+            path.append((port_here, port_parent))
+            parent, port_here, port_parent = up[parent]
+        return path
 
 
 # ----------------------------------------------------------------------
@@ -107,23 +158,26 @@ class LabeledRootedTree:
 # ----------------------------------------------------------------------
 def encode_tree(tree: LabeledRootedTree) -> Bits:
     """Binary code of a labeled rooted tree (see module docstring)."""
+    ascent = concat_bits([encode_uint(1)])
     steps: List[Bits] = []
-    labels: List[Bits] = []
-
-    def dfs(node: LabeledRootedTree) -> None:
-        labels.append(encode_uint(node.label))
-        for port_parent, port_child, child in sorted(
-            node.children, key=lambda t: t[0]
-        ):
-            steps.append(
-                concat_bits(
-                    [encode_uint(0), encode_uint(port_parent), encode_uint(port_child)]
-                )
+    labels: List[Bits] = [encode_uint(tree.label)]
+    # one iterator over the port-ordered children per open node
+    stack = [iter(_port_order(tree))]
+    while stack:
+        edge = next(stack[-1], None)
+        if edge is None:
+            stack.pop()
+            if stack:
+                steps.append(ascent)
+            continue
+        port_parent, port_child, child = edge
+        steps.append(
+            concat_bits(
+                [encode_uint(0), encode_uint(port_parent), encode_uint(port_child)]
             )
-            dfs(child)
-            steps.append(concat_bits([encode_uint(1)]))
-
-    dfs(tree)
+        )
+        labels.append(encode_uint(child.label))
+        stack.append(iter(_port_order(child)))
     return concat_bits([concat_bits(steps), concat_bits(labels)])
 
 

@@ -5,6 +5,11 @@ advice, runs COM for phi rounds to acquire B^phi(u), computes its unique
 label x = RetrieveLabel(B^phi(u), E1, E2), locates itself in the decoded
 BFS tree through x, and outputs the port sequence of the tree path from x
 to the root (label 1).
+
+The advice is the same string at every node, so the decode is done once
+per run (:meth:`~repro.sim.local_model.NodeContext.decoded`): all nodes
+share one labeling context, whose RetrieveLabel memo then labels each
+distinct view once per run, and one root-path index of the tree.
 """
 
 from __future__ import annotations
@@ -13,13 +18,14 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.coding.bitstring import Bits
+from repro.coding.trees import RootPathIndex
 from repro.core.advice import (
     AdviceBundle,
     compute_advice,
     decode_advice,
     labeling_context_from_advice,
 )
-from repro.core.labels import retrieve_label
+from repro.core.labels import LabelingContext, retrieve_label
 from repro.core.verify import ElectionOutcome, verify_election
 from repro.errors import AdviceError
 from repro.graphs.port_graph import PortGraph
@@ -28,22 +34,29 @@ from repro.sim.com import ViewAccumulator
 from repro.sim.local_model import NodeAlgorithm, NodeContext, RunResult, run_sync
 
 
+def decode_elect_advice(
+    advice: Bits,
+) -> Tuple[int, LabelingContext, RootPathIndex]:
+    """The node-side decode of the advice: phi, the labeling context built
+    from E1 and E2, and the root-path index of the tree T.  Pure in
+    ``advice``; every node of a run shares the result."""
+    phi, e1, e2, tree = decode_advice(advice)
+    return phi, labeling_context_from_advice(e1, e2), RootPathIndex(tree)
+
+
 class ElectAlgorithm:
     """Per-node algorithm; requires ``ctx.advice`` from ComputeAdvice."""
 
     def __init__(self):
         self._acc: Optional[ViewAccumulator] = None
         self._phi: Optional[int] = None
-        self._labeling = None
-        self._tree = None
+        self._labeling: Optional[LabelingContext] = None
+        self._tree: Optional[RootPathIndex] = None
 
     def setup(self, ctx: NodeContext) -> None:
         if ctx.advice is None:
             raise AdviceError("Elect requires the oracle's advice string")
-        phi, e1, e2, tree = decode_advice(ctx.advice)
-        self._phi = phi
-        self._labeling = labeling_context_from_advice(e1, e2)
-        self._tree = tree
+        self._phi, self._labeling, self._tree = ctx.decoded(decode_elect_advice)
         self._acc = ViewAccumulator(ctx.degree)
 
     def compose(self, ctx: NodeContext):

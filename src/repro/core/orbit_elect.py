@@ -67,6 +67,7 @@ from repro.sim.local_model import (
     NodeContext,
     RunResult,
     _check_message,
+    _node_contexts,
 )
 from repro.views.refinement import StablePartition, stable_partition
 
@@ -237,7 +238,7 @@ class OrbitEngine:
         k = len(reps)
 
         algorithms = [self._factory() for _ in range(k)]
-        contexts = [NodeContext(degrees[r], self._advice) for r in reps]
+        contexts = _node_contexts([degrees[r] for r in reps], self._advice)
         for i in range(k):
             algorithms[i].setup(contexts[i])
         undecided = sum(

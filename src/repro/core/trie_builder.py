@@ -71,7 +71,8 @@ def _build_depth1(views: List[View]) -> Trie:
             )
         left_set = [v for v in views if encodings[v].bit(split_pos) == 0]
         query = (1, split_pos)
-    right_set = [v for v in views if v not in set(left_set)]
+    left = set(left_set)
+    right_set = [v for v in views if v not in left]
     if not left_set or not right_set:
         raise AdviceError("depth-1 trie split produced an empty side")
     return trie_node(query, _build_depth1(left_set), _build_depth1(right_set))

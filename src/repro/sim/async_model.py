@@ -25,7 +25,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.coding.bitstring import Bits
 from repro.errors import PortNumberingError, SimulationError
 from repro.graphs.port_graph import PortGraph
-from repro.sim.local_model import NodeAlgorithm, NodeContext, RunResult
+from repro.sim.local_model import NodeAlgorithm, RunResult, _node_contexts
 from repro.sim.schedulers import RandomDelayScheduler, Scheduler
 from repro.util.rng import RngLike
 
@@ -79,15 +79,7 @@ class AsyncEngine:
         if bind is not None:
             bind(n)
         algorithms = [self._factory() for _ in range(n)]
-        if self._advice_map is not None:
-            contexts = [
-                NodeContext(degrees[v], self._advice_map.get(v))
-                for v in range(n)
-            ]
-        else:
-            contexts = [
-                NodeContext(degrees[v], self._advice) for v in range(n)
-            ]
+        contexts = _node_contexts(degrees, self._advice, self._advice_map)
         # per node: local round counter and round -> port -> message buffers
         local_round = [0] * n
         buffers: List[Dict[int, List[Optional[Any]]]] = [dict() for _ in range(n)]

@@ -24,7 +24,7 @@ more message from a neighbor that already decided.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
+from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 from repro.coding.bitstring import Bits
 from repro.errors import AlgorithmError, SimulationError
@@ -50,17 +50,38 @@ def _check_message(msg: Any) -> None:
     )
 
 
+#: A decoder turns the advice string into the node's read-only view of it.
+AdviceDecoder = Callable[[Optional[Bits]], Any]
+#: One run's decode results, keyed by (decoder, exact advice string).
+DecodeMemo = Dict[Tuple[AdviceDecoder, Optional[Bits]], Any]
+
+
 class NodeContext:
-    """Everything a node algorithm is allowed to see."""
+    """Everything a node algorithm is allowed to see.
 
-    __slots__ = ("_degree", "_advice", "_output", "_output_round", "_round")
+    ``decode_memo`` is the run's advice-decode memo: an engine creates one
+    dict per run and hands it to every context it builds, so
+    :meth:`decoded` runs each decoder once per run, not once per node.
+    Without one, the context keeps a private memo.
+    """
 
-    def __init__(self, degree: int, advice: Optional[Bits]):
+    __slots__ = (
+        "_degree", "_advice", "_output", "_output_round", "_round",
+        "_decode_memo",
+    )
+
+    def __init__(
+        self,
+        degree: int,
+        advice: Optional[Bits],
+        decode_memo: Optional[DecodeMemo] = None,
+    ):
         self._degree = degree
         self._advice = advice
         self._output: Any = None
         self._output_round: Optional[int] = None
         self._round = 0
+        self._decode_memo = {} if decode_memo is None else decode_memo
 
     @property
     def degree(self) -> int:
@@ -71,6 +92,25 @@ class NodeContext:
     def advice(self) -> Optional[Bits]:
         """The oracle's advice string (identical at every node), or None."""
         return self._advice
+
+    def decoded(self, decoder: AdviceDecoder) -> Any:
+        """``decoder(self.advice)``, computed once per run for each pair of
+        decoder and exact advice string.
+
+        The model gives every node the same string, and decoding is a pure
+        function of it, so every node that asks gets the *same* result
+        object.  The contract: ``decoder`` is pure, and its result is
+        read-only except for memo tables that cache a pure function of the
+        view and the advice (e.g. a shared ``RetrieveLabel`` cache).  A
+        node learns nothing through the shared object that it could not
+        compute from its own advice and views.
+        """
+        key = (decoder, self._advice)
+        memo = self._decode_memo
+        if key in memo:
+            return memo[key]
+        value = memo[key] = decoder(self._advice)
+        return value
 
     @property
     def round_index(self) -> int:
@@ -112,6 +152,23 @@ class NodeAlgorithm(Protocol):
 
         The engine reuses the inbox buffer across rounds: consume it
         during the call, do not retain or mutate it."""
+
+
+def _node_contexts(
+    degrees: Sequence[int],
+    advice: Optional[Bits],
+    advice_map: Optional[Dict[int, Bits]] = None,
+) -> List[NodeContext]:
+    """One context per node (``degrees[i]`` is the i-th node's degree),
+    all sharing one fresh advice-decode memo: the memo's scope is the
+    run."""
+    decode_memo: DecodeMemo = {}
+    if advice_map is not None:
+        return [
+            NodeContext(d, advice_map.get(v), decode_memo)
+            for v, d in enumerate(degrees)
+        ]
+    return [NodeContext(d, advice, decode_memo) for d in degrees]
 
 
 @dataclass
@@ -198,15 +255,7 @@ class SyncEngine:
         dst_node = csr.neighbors
         dst_port = csr.remote_ports
         algorithms = [self._factory() for _ in range(n)]
-        if self._advice_map is not None:
-            contexts = [
-                NodeContext(degrees[v], self._advice_map.get(v))
-                for v in range(n)
-            ]
-        else:
-            contexts = [
-                NodeContext(degrees[v], self._advice) for v in range(n)
-            ]
+        contexts = _node_contexts(degrees, self._advice, self._advice_map)
 
         for v in range(n):
             algorithms[v].setup(contexts[v])
