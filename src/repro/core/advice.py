@@ -81,10 +81,18 @@ def compute_advice(g: PortGraph, phi: Optional[int] = None) -> AdviceBundle:
     """Algorithm 5 (ComputeAdvice).
 
     ``phi`` may be passed if already known (it is recomputed otherwise).
-    Raises :class:`~repro.errors.InfeasibleGraphError` on infeasible graphs.
+    Raises :class:`~repro.errors.InfeasibleGraphError` on infeasible graphs,
+    and :class:`~repro.errors.AdviceError` on the one-node graph (phi = 0).
     """
     if phi is None:
         phi = election_index(g)
+    if phi == 0:
+        # the advice starts with E1, the trie of depth-1 views, and
+        # RetrieveLabel needs depth >= 1: neither exists when phi = 0
+        raise AdviceError(
+            "the advice is undefined at phi = 0 (the one-node graph): "
+            "E1 and RetrieveLabel need depth >= 1"
+        )
 
     levels: List[List[View]] = []
     for depth, level in enumerate(view_levels(g, max_depth=phi)):

@@ -32,8 +32,21 @@ A :class:`ThreadingHTTPServer` wrapping one shared
 
 Error mapping: malformed requests (bad JSON, bad graph, unknown task or
 route) return 400/404; a task failure on a valid graph (e.g. ``elect``
-on an infeasible network) returns 422 with the error class and detail.
-All bodies, including errors, are JSON.
+on an infeasible network, or on the one-node graph, whose advice is
+undefined) returns 422 with the error class and detail.  The errors
+``http.server`` answers itself — an unsupported method (501), a bad
+request line (400) or HTTP version (505), a URI over 64 KiB (414), too
+many headers (431) — keep their status but carry ``{"error": <reason
+phrase>, "detail": <message>}``.  Any other failure of a query or batch
+prints its traceback to stderr and returns 500 with ``{"error":
+"InternalError", "detail": <exception class>}``.  These two, and any
+error that leaves the request body unread, close the connection
+(``Connection: close``).  All bodies, including errors, are JSON.
+
+Reply framing: every reply leaves through :meth:`_Handler._send` in one
+``wfile.write`` — one ``sendall`` — on a ``TCP_NODELAY`` socket, so no
+reply waits on the client's delayed ACK (see DESIGN.md, "Service
+architecture").
 
 No third-party dependency: ``http.server`` is in the stdlib.  Request
 threads overlap freely on parsing, fingerprinting and cache hits; task
@@ -73,6 +86,13 @@ class ServiceHTTPServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-service/1"
     protocol_version = "HTTP/1.1"
+    # a request line too garbled to name a version is answered with a
+    # status line and headers, not as HTTP/0.9 (a bare body)
+    default_request_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted connection (StreamRequestHandler.setup):
+    # a reply must not wait for the client's ACK of an earlier one, as
+    # the second of two pipelined requests' replies would with Nagle on
+    disable_nagle_algorithm = True
 
     @property
     def core(self) -> ServiceCore:
@@ -82,23 +102,65 @@ class _Handler(BaseHTTPRequestHandler):
         """Silence per-request stderr chatter; metrics carry the counts."""
 
     # ------------------------------------------------------------------
-    def _send_json(self, status: int, payload: Any) -> None:
-        body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode(
-            "utf-8"
-        )
+    def _send(self, status: int, body: bytes, content_type: str) -> None:
+        """Write one reply: status line, headers and body in a single
+        ``wfile.write``, which is one ``sendall`` on the unbuffered
+        socket writer.  ``end_headers`` would send the header block on
+        its own, and the body would then wait for the client's delayed
+        ACK (~40 ms) before it could leave."""
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         if self.close_connection:
             # announce an error-path close (e.g. an unconsumed body) so
             # keep-alive clients do not try to reuse the connection
             self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+        # http.server buffers no status line or headers for an HTTP/0.9
+        # request, so the buffer may not exist
+        head = b"".join(getattr(self, "_headers_buffer", ()))
+        self._headers_buffer = []
+        if head:
+            head += b"\r\n"
+        if self.command == "HEAD":
+            body = b""  # a HEAD reply announces its body but never sends it
+        self.wfile.write(head + body)
+
+    def _send_json(self, status: int, payload: Any) -> None:
+        body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode(
+            "utf-8"
+        )
+        self._send(status, body, "application/json")
 
     def _send_error_json(self, status: int, exc: Exception) -> None:
         self._send_json(
             status, {"error": type(exc).__name__, "detail": str(exc)}
+        )
+
+    def _send_internal_error(self, exc: Exception) -> None:
+        """A failure no error class anticipated: print the traceback
+        the way ``socketserver`` does, then answer a JSON 500 and close
+        the connection instead of dropping it unanswered."""
+        self.server.handle_error(self.request, self.client_address)
+        self.close_connection = True
+        self._send_json(
+            500, {"error": "InternalError", "detail": type(exc).__name__}
+        )
+
+    def send_error(
+        self,
+        code: int,
+        message: Optional[str] = None,
+        explain: Optional[str] = None,
+    ) -> None:
+        """JSON in place of the stdlib's HTML page for the errors
+        ``http.server`` answers itself: an unsupported method (501), a
+        bad request line (400) or HTTP version (505), a URI over 64 KiB
+        (414), too many headers (431).  The request was not understood,
+        so the connection closes after the reply."""
+        phrase, description = self.responses.get(code, ("", ""))
+        self.close_connection = True
+        self._send_json(
+            code, {"error": phrase, "detail": message or description}
         )
 
     def _read_json_body(self) -> Any:
@@ -141,14 +203,6 @@ class _Handler(BaseHTTPRequestHandler):
         except (UnicodeDecodeError, ValueError) as exc:
             raise ServiceError(f"request body is not valid JSON: {exc}") from None
 
-    def _send_text(self, status: int, body: str, content_type: str) -> None:
-        data = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
     def _wants_prometheus(self, path_query: str) -> bool:
         """Content negotiation for ``GET /metrics``: a Prometheus
         scraper's Accept header (``text/plain`` / OpenMetrics), or an
@@ -189,9 +243,11 @@ class _Handler(BaseHTTPRequestHandler):
                     for key, value in metrics.items()
                     if isinstance(value, (int, float))
                 }
-                self._send_text(
+                self._send(
                     200,
-                    render_prometheus(take_snapshot(), extra_counters=flat),
+                    render_prometheus(
+                        take_snapshot(), extra_counters=flat
+                    ).encode("utf-8"),
                     "text/plain; version=0.0.4; charset=utf-8",
                 )
             else:
@@ -240,6 +296,9 @@ class _Handler(BaseHTTPRequestHandler):
             # on an infeasible graph
             self._send_error_json(422, exc)
             return
+        except Exception as exc:
+            self._send_internal_error(exc)
+            return
         self._send_json(200, result.payload())
 
     def _handle_batch(self, body: Any) -> None:
@@ -271,6 +330,9 @@ class _Handler(BaseHTTPRequestHandler):
             return
         except ReproError as exc:
             self._send_error_json(422, exc)
+            return
+        except Exception as exc:
+            self._send_internal_error(exc)
             return
         self._send_json(200, {"results": [r.payload() for r in results]})
 

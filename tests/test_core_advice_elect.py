@@ -9,7 +9,7 @@ from repro.core import compute_advice, run_elect, verify_election
 from repro.core.advice import canonical_bfs_tree, decode_advice
 from repro.core.elect import ElectAlgorithm
 from repro.errors import AdviceError, ElectionFailure, InfeasibleGraphError
-from repro.graphs import cycle_with_leader_gadget, lollipop, ring
+from repro.graphs import cycle_with_leader_gadget, from_dict, lollipop, ring
 from repro.lowerbounds import hk_graph, necklace
 from repro.sim import run_sync
 
@@ -37,6 +37,15 @@ class TestComputeAdvice:
     def test_infeasible_rejected(self):
         with pytest.raises(InfeasibleGraphError):
             compute_advice(ring(6))
+
+    def test_one_node_graph_is_an_advice_error(self):
+        """phi = 0 has no depth-1 trie to build: a domain error, not the
+        IndexError it used to be (regression)."""
+        g = from_dict({"n": 1, "edges": []})
+        with pytest.raises(AdviceError, match="phi = 0"):
+            compute_advice(g)
+        with pytest.raises(AdviceError, match="phi = 0"):
+            run_elect(g)
 
     def test_root_has_label_one(self):
         g = cycle_with_leader_gadget(7)

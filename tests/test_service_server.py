@@ -3,11 +3,17 @@
 A server on an ephemeral port, driven through urllib and through
 ``repro query`` — the same path CI's service-smoke job exercises."""
 
+import contextlib
+import http.client
 import io
 import json
+import socket
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
+from http import HTTPStatus
 
 import pytest
 
@@ -19,11 +25,12 @@ from repro.service import (
     make_server,
     serve_until_shutdown,
 )
+from repro.service.server import _Handler
 
 
-@pytest.fixture()
-def service():
-    core = ServiceCore()
+@contextlib.contextmanager
+def serving(core):
+    """Serve ``core`` on an ephemeral port; yields the base URL."""
     server = make_server(core)
     ready = threading.Event()
     thread = threading.Thread(
@@ -33,10 +40,18 @@ def service():
     )
     thread.start()
     assert ready.wait(5)
-    url = f"http://127.0.0.1:{server.server_address[1]}"
-    yield url, core
-    server.shutdown()
-    thread.join(5)
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        thread.join(5)
+
+
+@pytest.fixture()
+def service():
+    core = ServiceCore()
+    with serving(core) as url:
+        yield url, core
 
 
 def post(url, path, payload):
@@ -63,6 +78,80 @@ def post_error(url, path, body: bytes):
     except urllib.error.HTTPError as exc:
         return exc.code, json.load(exc)
     raise AssertionError("expected an HTTP error")
+
+
+def address(url):
+    host, port = url[len("http://") :].split(":")
+    return host, int(port)
+
+
+def connect(url):
+    return http.client.HTTPConnection(*address(url), timeout=10)
+
+
+def raw_exchange(url, request: bytes) -> bytes:
+    """Everything the server writes back to raw ``request`` bytes on a
+    fresh socket, up to its close of the connection (a connection left
+    open fails the read on its timeout)."""
+    chunks = []
+    with socket.create_connection(address(url), timeout=5) as sock:
+        sock.sendall(request)
+        try:
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        except ConnectionResetError:
+            pass  # a close with request bytes still unread is a reset
+    return b"".join(chunks)
+
+
+def read_reply(stream):
+    """``(status, body)`` of the next reply on a buffered socket stream."""
+    status = int(stream.readline().split()[1])
+    length = 0
+    while (line := stream.readline()) not in (b"\r\n", b""):
+        name, _, value = line.partition(b":")
+        if name.lower() == b"content-length":
+            length = int(value)
+    return status, stream.read(length)
+
+
+class _RecordingWriter:
+    """Wraps a handler's ``wfile``; logs the bytes of every write."""
+
+    def __init__(self, inner, writes):
+        self._inner, self._writes = inner, writes
+
+    def write(self, data):
+        self._writes.append(bytes(data))
+        return self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+@pytest.fixture()
+def wire_log(monkeypatch):
+    """One entry per accepted connection: the socket's TCP_NODELAY value
+    after the handler's setup, and the bytes of each ``wfile.write``."""
+    log = []
+    setup = _Handler.setup
+
+    def recording_setup(handler):
+        setup(handler)
+        entry = {
+            "nodelay": handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            ),
+            "writes": [],
+        }
+        log.append(entry)
+        handler.wfile = _RecordingWriter(handler.wfile, entry["writes"])
+
+    monkeypatch.setattr(_Handler, "setup", recording_setup)
+    return log
 
 
 class TestEndpoints:
@@ -231,6 +320,273 @@ class TestEndpoints:
             assert resp.will_close  # server closed: nothing left to parse
         finally:
             conn.close()
+
+
+class TestReplyFraming:
+    """Each reply is one write on a TCP_NODELAY socket.  Headers and body
+    in two sends with Nagle on made the body wait for the client's
+    delayed ACK, ~40 ms per reply (regression)."""
+
+    def test_every_reply_leaves_in_one_write(self, service, wire_log):
+        url, _core = service
+        tree = to_dict(random_tree(9, seed=4))
+        batch = {"requests": [{"task": "index", "graph": tree}] * 2}
+        exchanges = [
+            ("POST", "/v1/index", json.dumps(tree), {}, 200),
+            ("POST", "/v1/index", "{not json", {}, 400),
+            ("GET", "/nope", None, {}, 404),
+            ("POST", "/v1/elect", json.dumps(to_dict(ring(6))), {}, 422),
+            ("POST", "/v1/batch", json.dumps(batch), {}, 200),
+            ("GET", "/healthz", None, {}, 200),
+            ("GET", "/metrics", None, {}, 200),
+            ("GET", "/metrics", None, {"Accept": "text/plain"}, 200),
+            ("PUT", "/v1/index", None, {}, 501),  # through send_error
+        ]
+        for method, path, body, headers, status in exchanges:
+            conn = connect(url)
+            try:
+                conn.request(method, path, body, headers)
+                resp = conn.getresponse()
+                reply_body = resp.read()
+            finally:
+                conn.close()
+            assert resp.status == status, (method, path)
+            writes = wire_log[-1]["writes"]
+            assert [len(w) for w in writes] == [len(writes[0])], (
+                method,
+                path,
+                [len(w) for w in writes],
+            )
+            assert writes[0].startswith(b"HTTP/1.1 %d " % status)
+            assert writes[0].endswith(b"\r\n\r\n" + reply_body)
+        assert len(wire_log) == len(exchanges)
+
+    def test_accepted_socket_has_tcp_nodelay(self, service, wire_log):
+        url, _core = service
+        status, _health = get(url, "/healthz")
+        assert status == 200
+        assert [bool(entry["nodelay"]) for entry in wire_log] == [True]
+
+    @pytest.mark.skipif(
+        not hasattr(socket, "TCP_QUICKACK"), reason="TCP_QUICKACK is Linux-only"
+    )
+    def test_warm_reply_does_not_wait_for_a_delayed_ack(self, service):
+        """The client acknowledges late, as the kernel does on a busy
+        keep-alive connection; a warm hit must not wait for that ACK."""
+        url, _core = service
+        body = json.dumps(to_dict(random_tree(12, seed=3)))
+        conn = connect(url)
+        conn.connect()
+        # the client's own request (headers, then body) must not sit
+        # behind Nagle either
+        conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        round_trips = []
+        try:
+            for i in range(6):  # one cold compute, then five warm hits
+                started = time.perf_counter()
+                conn.request(
+                    "POST", "/v1/elect", body, {"Content-Type": "application/json"}
+                )
+                conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 0)
+                resp = conn.getresponse()
+                payload = json.load(resp)
+                round_trips.append(time.perf_counter() - started)
+                assert resp.status == 200 and payload["cached"] is (i > 0)
+        finally:
+            conn.close()
+        # ~44 ms with the header block sent ahead of the body; ~1 ms now
+        assert statistics.median(round_trips[1:]) < 0.020, round_trips
+
+    @pytest.mark.skipif(
+        not hasattr(socket, "TCP_QUICKACK"), reason="TCP_QUICKACK is Linux-only"
+    )
+    def test_pipelined_replies_do_not_wait_for_a_delayed_ack(self, service):
+        """One write per reply is not enough on its own: with Nagle on,
+        the reply to the second of two pipelined requests waits for the
+        client's ACK of the first reply (~44 ms).  TCP_NODELAY sends it
+        at once."""
+        url, core = service
+        g = random_tree(12, seed=3)
+        core.query("elect", g)  # warm
+        body = json.dumps(to_dict(g)).encode()
+        request = b"POST /v1/elect HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s" % (
+            len(body),
+            body,
+        )
+        pair_times = []
+        with socket.create_connection(address(url), timeout=10) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            with sock.makefile("rb") as replies:
+                for _ in range(5):
+                    started = time.perf_counter()
+                    sock.sendall(request + request)
+                    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 0)
+                    for _reply in range(2):
+                        status, reply_body = read_reply(replies)
+                        assert status == 200 and json.loads(reply_body)["cached"]
+                    pair_times.append(time.perf_counter() - started)
+        assert statistics.median(pair_times) < 0.020, pair_times
+
+    def test_reply_headers_and_body_bytes_are_unchanged(self, service):
+        """One write changes the framing on the wire, not the reply: the
+        same header names in the same order, and the same body bytes."""
+        url, _core = service
+        g = random_tree(10, seed=2)
+        reference = ServiceCore()
+        try:
+            expected = json.dumps(
+                reference.query("index", g).payload(),
+                sort_keys=True,
+                separators=(",", ":"),
+            ).encode("utf-8")
+        finally:
+            reference.close()
+        names = ["Server", "Date", "Content-Type", "Content-Length"]
+        conn = connect(url)
+        try:
+            conn.request("POST", "/v1/index", json.dumps(to_dict(g)))
+            resp = conn.getresponse()
+            body = resp.read()
+            assert (resp.version, resp.status, resp.reason) == (11, 200, "OK")
+            assert [name for name, _ in resp.getheaders()] == names
+            assert resp.getheader("Server").startswith("repro-service/1 Python/")
+            assert resp.getheader("Content-Type") == "application/json"
+            assert resp.getheader("Content-Length") == str(len(body))
+            assert body == expected
+            conn.request("GET", "/nope")  # same keep-alive connection
+            resp = conn.getresponse()
+            body = resp.read()
+            assert (resp.status, resp.reason) == (404, "Not Found")
+            assert [name for name, _ in resp.getheaders()] == names
+            assert body == b'{"detail":"no route /nope","error":"NotFound"}'
+        finally:
+            conn.close()
+
+    def test_prometheus_reply_announces_a_close(self, service):
+        """The text reply goes through the same path as the JSON ones, so
+        it too says ``Connection: close`` when the connection closes."""
+        url, _core = service
+        conn = connect(url)
+        try:
+            conn.request(
+                "GET", "/metrics?format=prometheus", headers={"Connection": "close"}
+            )
+            resp = conn.getresponse()
+            assert resp.status == 200 and resp.read()
+            assert resp.getheader("Content-Type").startswith("text/plain")
+            assert resp.getheader("Connection") == "close"
+        finally:
+            conn.close()
+
+
+#: Requests ``http.server`` rejects before any handler method runs.
+STDLIB_ERROR_PROBES = [
+    pytest.param(
+        b"PUT /v1/index HTTP/1.1\r\nHost: x\r\n\r\n",
+        501,
+        "Unsupported method",
+        id="unsupported-method",
+    ),
+    pytest.param(
+        b"GET /v1 index HTTP/1.1\r\n\r\n", 400, "Bad request syntax",
+        id="bad-request-line",
+    ),
+    pytest.param(
+        b"GET / HTTP/2.0\r\n\r\n", 505, "Invalid HTTP version",
+        id="bad-http-version",
+    ),
+    pytest.param(
+        b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+        414,
+        "URI is too long",
+        id="uri-over-64KiB",
+    ),
+    pytest.param(
+        b"GET / HTTP/1.1\r\n" + b"X-Pad: 1\r\n" * 101 + b"\r\n",
+        431,
+        "Too many headers",
+        id="too-many-headers",
+    ),
+    # a one-word line parses as HTTP/0.9, which gets no status line
+    pytest.param(
+        b"GARBAGE\r\n\r\n", 400, "Bad request syntax", id="garbage-line"
+    ),
+]
+
+
+class TestEdgeErrors:
+    """Hostile or unexpected input at the HTTP edge gets a JSON reply
+    and a closed connection, never an HTML page or a dropped socket."""
+
+    @pytest.mark.parametrize("request_bytes,code,detail", STDLIB_ERROR_PROBES)
+    def test_stdlib_errors_answer_in_json(
+        self, service, request_bytes, code, detail
+    ):
+        url, _core = service
+        reply = raw_exchange(url, request_bytes)  # returns once closed
+        head, _, body = reply.partition(b"\r\n\r\n")
+        status_line, *header_lines = head.decode("latin-1").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in header_lines)
+        phrase = HTTPStatus(code).phrase
+        assert status_line == f"HTTP/1.1 {code} {phrase}"
+        assert headers["Content-Type"] == "application/json"
+        assert headers["Connection"] == "close"
+        assert int(headers["Content-Length"]) == len(body)
+        payload = json.loads(body)
+        assert payload["error"] == phrase
+        assert detail in payload["detail"]
+
+    def test_head_gets_headers_and_no_body(self, service):
+        url, _core = service
+        reply = raw_exchange(url, b"HEAD /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 501 Not Implemented\r\n")
+        assert b"\r\nContent-Type: application/json\r\n" in head
+        assert b"\r\nConnection: close" in head
+        assert body == b""
+
+    def test_unexpected_failure_is_a_json_500(self, service, monkeypatch, capsys):
+        url, core = service
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(core, "query", broken)
+        monkeypatch.setattr(core, "batch", broken)
+        graph = to_dict(ring(5))
+        for path, body in (
+            ("/v1/index", graph),
+            ("/v1/batch", {"requests": [{"task": "index", "graph": graph}]}),
+        ):
+            conn = connect(url)
+            try:
+                conn.request("POST", path, json.dumps(body))
+                resp = conn.getresponse()
+                assert resp.status == 500
+                assert json.load(resp) == {
+                    "error": "InternalError",
+                    "detail": "RuntimeError",
+                }
+                assert resp.will_close
+            finally:
+                conn.close()
+        # the traceback is on stderr, and the next connection is served
+        assert "RuntimeError: injected" in capsys.readouterr().err
+        monkeypatch.undo()
+        status, payload = post(url, "/v1/index", graph)
+        assert status == 200 and payload["cached"] is False
+
+    @pytest.mark.parametrize("shards", [0, 1])
+    def test_one_node_graph_is_a_422(self, shards):
+        """phi = 0 has no advice: elect and advice must answer 422, not
+        drop the connection (in process) or wrap an IndexError (sharded)."""
+        one_node = json.dumps({"n": 1, "edges": []}).encode()
+        with serving(ServiceCore(shards=shards)) as url:
+            for task in ("elect", "advice"):
+                code, body = post_error(url, f"/v1/{task}", one_node)
+                assert code == 422
+                assert body["error"] == "AdviceError"
+                assert "phi = 0" in body["detail"]
 
 
 class TestSignalHandlers:
