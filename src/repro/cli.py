@@ -602,7 +602,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     cache = ResultCache(path=args.cache, capacity=args.capacity)
     core = ServiceCore(
         cache,
-        batch_chunk_size=args.chunk_size,
         shards=args.shards,
         slow_query_threshold_s=(
             args.slow_query_ms / 1000.0
@@ -1072,10 +1071,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="pre-populate from a results warehouse with one join query — "
         "no corpus needed, the warehouse stored each entry's content "
         "address at sweep time (repeatable)",
-    )
-    p.add_argument(
-        "--chunk-size", type=int, default=None,
-        help="corpus entries per engine chunk on the /v1/batch path",
     )
     p.add_argument(
         "--shards", type=int, default=0, metavar="N",

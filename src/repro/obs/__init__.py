@@ -25,6 +25,7 @@ the CI strict-bench gate).  Enable with ``repro profile CMD``, the
 from repro.obs.core import (
     Registry,
     SpanHandle,
+    attach,
     collect_remote,
     current_context,
     disable,
@@ -51,6 +52,7 @@ from repro.obs.export import (
 __all__ = [
     "Registry",
     "SpanHandle",
+    "attach",
     "collect_remote",
     "current_context",
     "disable",

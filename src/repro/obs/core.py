@@ -19,10 +19,11 @@ envelopes as-is.  Nesting is tracked per thread; cross-process edges are
 explicit: the parent calls :func:`export_context` and ships the small
 dict to the worker, the worker brackets its work in
 :func:`collect_remote` and ships the captured events back, the parent
-calls :func:`ingest`.  Span ids embed the pid, and timestamps come from
-``time.monotonic_ns()`` — CLOCK_MONOTONIC is system-wide on Linux, so
-parent and worker clocks agree and the stitched trace orders correctly
-across process boundaries.
+calls :func:`ingest`.  Within a process, a thread working on another's
+behalf joins its trace through :func:`attach`.  Span ids embed the pid,
+and timestamps come from ``time.monotonic_ns()`` — CLOCK_MONOTONIC is
+system-wide on Linux, so parent and worker clocks agree and the
+stitched trace orders correctly across process boundaries.
 
 Metrics
 -------
@@ -37,6 +38,7 @@ and the warehouse ``telemetry`` table.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import itertools
 import os
 import threading
@@ -47,6 +49,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 __all__ = [
     "Registry",
     "SpanHandle",
+    "attach",
     "collect_remote",
     "disable",
     "drain_events",
@@ -383,6 +386,23 @@ def export_context() -> Optional[Dict[str, str]]:
     if not _ENABLED:
         return None
     return current_context()
+
+
+@contextlib.contextmanager
+def attach(ctx: Optional[Dict[str, str]]) -> Iterator[None]:
+    """Parent this thread's root spans to ``ctx``, an
+    :func:`export_context` dict taken on another thread, until exit:
+    work a thread does on another's behalf joins that one's trace.
+    Inert for None, which :func:`export_context` returns while off."""
+    if ctx is None:
+        yield
+        return
+    previous = getattr(_tls, "remote_parent", None)
+    _tls.remote_parent = ctx
+    try:
+        yield
+    finally:
+        _tls.remote_parent = previous
 
 
 def trace_events() -> List[Dict[str, Any]]:

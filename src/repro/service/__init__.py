@@ -18,14 +18,17 @@ clients and across past batch work:
   warehouse with one join query, no corpus re-stream;
 * :mod:`repro.service.api` — :class:`~repro.service.api.ServiceCore`,
   the transport-free pipeline (validate -> fingerprint -> cache lookup
-  -> compute through the engine task registry -> record), answering in
-  canonical coordinates so isomorphic queries get byte-identical
-  answers, plus the ``run_stream``-chunked batch path;
+  -> compute on the core's backend -> record), answering in canonical
+  coordinates so isomorphic queries get byte-identical answers, plus
+  the batch path that drains its deduplicated misses through the same
+  backend;
 * :mod:`repro.service.server` — the stdlib ``ThreadingHTTPServer`` JSON
   API (``POST /v1/elect|index|advice|quotient``, ``POST /v1/batch``,
   ``GET /healthz``, ``GET /metrics``);
-* :mod:`repro.service.shard` — the fingerprint-sharded compute pool:
-  ``ServiceCore(shards=N)`` routes each cold compute to
+* :mod:`repro.service.shard` — the service's one compute,
+  ``compute_record``, and its two backends: ``LocalBackend`` runs it in
+  process (``shards=0``); the fingerprint-sharded ``ShardPool``
+  (``ServiceCore(shards=N)``) routes each cold compute to
   ``int(fingerprint[:16], 16) % N``, one forked worker process per
   shard, each with its own view-cache universe, while the parent keeps
   the one shared result cache (the warehouse as the warm tier).  Warm

@@ -4,22 +4,13 @@ compute -> record.
 :class:`ServiceCore` is the whole behavior of the query service with no
 HTTP in sight — the unit the tests drive directly and the thin stdlib
 server (:mod:`repro.service.server`) wraps.  One instance is shared by
-all server threads.  Two locks partition the shared state:
-
-* the *bookkeeping* lock guards the cache and the metrics counters —
-  lookups and counter bumps from any thread interleave safely;
-* the *compute* lock serializes task execution.  The view machinery's
-  process-global caches (:mod:`repro.views.view`: the intern table, the
-  per-depth rank registries) are not thread-safe, and the engine's
-  bounded-memory discipline *clears* them after each unit of work — a
-  clear racing another thread's half-built views would corrupt identity
-  interning.  So every computation, and the ``clear_view_caches()``
-  that follows it (the service's unit of cache lifetime is one query,
-  mirroring the engine's one chunk; this is also what keeps a
-  long-running server's view tables from growing per distinct query
-  graph), runs under one lock.  Fingerprinting, cache hits and metrics
-  stay concurrent — the hot path of a warm service never blocks on a
-  compute.
+all server threads.  Its one lock guards the bookkeeping — the cache,
+the in-flight table and the metrics counters — so lookups and counter
+bumps from any thread interleave safely.  Computes run on the core's
+compute backend (:mod:`repro.service.shard`), which serializes them as
+the process-global view caches require.  Fingerprinting, cache hits and
+metrics stay concurrent — the hot path of a warm service never blocks
+on a compute.
 
 Canonical coordinates
     Every computation runs on the *canonical* graph
@@ -35,20 +26,20 @@ Canonical coordinates
 Batching
     :meth:`ServiceCore.batch` answers a request list by serving hits
     from the cache, deduplicating the misses by ``(fingerprint, task)``,
-    and fanning each task's residual graphs through the engine's
-    streaming path (:func:`repro.engine.run_stream`) in chunks — the
-    same execution discipline as a ``repro sweep``.  In sharded mode the
-    unique misses fan out across the shard pool instead, grouped by
-    route.
+    and draining them through the backend, one thread per route.  Each
+    miss is the compute a single query runs, so a batch answers — and
+    fails — exactly as the same queries sent one by one would.
 
-Sharding
-    ``ServiceCore(shards=N)`` with ``N >= 1`` dispatches cold computes
-    to a :class:`~repro.service.shard.ShardPool` of worker processes
-    routed by fingerprint — each worker owns its own view-cache
-    universe, so computes on different shards run truly in parallel
-    while the parent keeps the one shared result cache (LRU + warehouse
-    / JSONL warm tier).  ``shards=0`` (the default) keeps today's
-    in-process compute path byte-identical.
+Compute backends
+    ``ServiceCore(shards=N)`` with ``N >= 1`` computes on a
+    :class:`~repro.service.shard.ShardPool` of worker processes routed
+    by fingerprint — each worker owns its own view-cache universe, so
+    computes on different shards run truly in parallel while the parent
+    keeps the one shared result cache (LRU + warehouse / JSONL warm
+    tier).  ``shards=0`` (the default) computes in this process on a
+    :class:`~repro.service.shard.LocalBackend`.  Both run
+    :func:`~repro.service.shard.compute_record`, so records and
+    responses are byte-identical either way.
 
 In-flight deduplication
     Concurrent cold queries for the same ``(fingerprint, task)`` would
@@ -77,9 +68,9 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
-from repro.engine import EngineConfig, run_stream
 from repro.engine.records import Record
 from repro.engine.tasks import get_task
 from repro.errors import ReproError, ServiceError
@@ -87,7 +78,7 @@ from repro.graphs.canonical import CanonicalForm, canonical_form
 from repro.graphs.port_graph import PortGraph
 from repro.obs import core as obs
 from repro.service.cache import CacheKey, ResultCache, canonical_query_name
-from repro.service.shard import ShardPool
+from repro.service.shard import LocalBackend, ShardPool
 
 #: The tasks the service exposes (one ``POST /v1/<task>`` route each).
 #: All are single-record engine tasks, so one query maps to one record.
@@ -142,6 +133,15 @@ class QueryResult:
         }
 
 
+def _as_domain_error(exc: BaseException, what: str) -> ReproError:
+    """``exc`` itself if it is a domain error; anything else (a
+    KeyboardInterrupt, a bug) as a :class:`ServiceError` naming it — the
+    error a waiter on a failed compute receives."""
+    if isinstance(exc, ReproError):
+        return exc
+    return ServiceError(f"{what} failed: {type(exc).__name__}: {exc}")
+
+
 def parse_graph_payload(payload: Any) -> PortGraph:
     """A request's graph: either the canonical dict form itself or an
     envelope with a ``graph`` field (the shape ``repro corpus emit``
@@ -160,25 +160,16 @@ class ServiceCore:
     """The election-query service behind any transport.
 
     ``tasks`` restricts the queryable engine tasks (default
-    :data:`SERVICE_TASKS`); ``batch_chunk_size``/``batch_workers``
-    configure the ``run_stream`` fan-out of :meth:`batch`.
-    ``orbit_collapse`` (default on) routes cold ``elect`` queries
-    through the orbit-collapsed engine (:mod:`repro.core.orbit_elect`);
-    the resulting record is byte-identical to the per-node engine
-    record, so cache contents are independent of the flag.
-    ``shards=N`` (N >= 1) dispatches cold computes to a fingerprint-
-    routed pool of worker processes (:mod:`repro.service.shard`);
-    ``shards=0`` keeps the in-process compute path.  Records and
-    responses are byte-identical either way.
+    :data:`SERVICE_TASKS`).  ``shards=N`` (N >= 1) computes on a
+    fingerprint-routed pool of worker processes
+    (:mod:`repro.service.shard`); ``shards=0`` computes in this process.
+    Records and responses are byte-identical either way.
     """
 
     def __init__(
         self,
         cache: Optional[ResultCache] = None,
         tasks: Sequence[str] = SERVICE_TASKS,
-        batch_chunk_size: Optional[int] = None,
-        batch_workers: int = 1,
-        orbit_collapse: bool = True,
         shards: int = 0,
         slow_query_threshold_s: Optional[float] = None,
         slow_query_sink: Optional[Callable[[str], None]] = None,
@@ -194,9 +185,6 @@ class ServiceCore:
             )
         self.cache = cache if cache is not None else ResultCache()
         self.tasks = tuple(tasks)
-        self.orbit_collapse = orbit_collapse
-        self.batch_chunk_size = batch_chunk_size
-        self.batch_workers = batch_workers
         self.shards = shards
         # structured slow-query log: queries at or over the threshold
         # emit one JSON line (task, fingerprint, tier, phase timings) to
@@ -205,14 +193,11 @@ class ServiceCore:
         self.slow_query_threshold_s = slow_query_threshold_s
         self._slow_query_sink = slow_query_sink
         self._lock = threading.Lock()  # cache + metrics bookkeeping
-        self._compute_lock = threading.Lock()  # the global view caches
         self._inflight: Dict[CacheKey, _Inflight] = {}
         # fork the pool before any serving: workers inherit loaded
         # modules only — no server socket, no held locks
-        self._pool: Optional[ShardPool] = (
-            ShardPool(shards, orbit_collapse=orbit_collapse)
-            if shards > 0
-            else None
+        self.backend: Union[LocalBackend, ShardPool] = (
+            ShardPool(shards) if shards > 0 else LocalBackend()
         )
         self._started = time.monotonic()
         self._stats: Dict[str, Dict[str, float]] = {}
@@ -340,49 +325,6 @@ class ServiceCore:
         with self._lock:
             self.cache.put(key, record)
 
-    def _compute(self, task: str, form: CanonicalForm) -> Record:
-        """Run the engine task on the canonical graph under the
-        canonical name (so records are labeling-independent).  Runs
-        under the compute lock, and drops the process-global view caches
-        afterwards — one query is the service's view-cache lifetime,
-        exactly as one chunk is the engine's."""
-        from repro.graphs.serialization import from_json
-        from repro.views.view import clear_view_caches
-
-        graph = from_json(form.certificate.decode("ascii"))
-        with self._compute_lock:
-            try:
-                if task == "elect" and self.orbit_collapse:
-                    # the orbit-collapsed fast path: one simulated node
-                    # per orbit, record byte-identical to the engine's
-                    # per-node `elect` record (the conformance oracle's
-                    # collapsed-vs-full rule is the standing proof)
-                    from repro.engine.tasks import elect_record_via_orbits
-
-                    result = elect_record_via_orbits(
-                        canonical_query_name(form.fingerprint), graph
-                    )
-                else:
-                    result = get_task(task)(
-                        canonical_query_name(form.fingerprint), graph
-                    )
-            finally:
-                clear_view_caches()
-        if isinstance(result, list):  # pragma: no cover - guarded by tasks
-            raise ServiceError(
-                f"task '{task}' is multi-record and cannot be served"
-            )
-        return result
-
-    def _compute_record(self, task: str, form: CanonicalForm) -> Record:
-        """One cold compute: through the fingerprint's shard worker in
-        sharded mode, in-process under the compute lock otherwise."""
-        if self._pool is not None:
-            return self._pool.compute(
-                task, form.fingerprint, form.certificate.decode("ascii")
-            )
-        return self._compute(task, form)
-
     # ------------------------------------------------------------------
     # in-flight deduplication
     # ------------------------------------------------------------------
@@ -415,6 +357,41 @@ class ServiceCore:
         flight.error = error
         flight.event.set()
 
+    def _compute_or_join(
+        self,
+        task: str,
+        form: CanonicalForm,
+        key: CacheKey,
+        phases: Dict[str, float],
+    ) -> Tuple[Record, Optional[str]]:
+        """A cache miss: lead the key's compute, or wait for the
+        concurrent caller leading it.  Returns the record and its tier:
+        ``"inflight"`` for a follower (timed into ``phases["wait_s"]``),
+        None for the leader (``phases["compute_s"]``), which caches the
+        record before it releases the followers."""
+        t0 = time.perf_counter()
+        flight, leader = self._join_inflight(key)
+        if not leader:
+            with obs.span("service.inflight_wait"):
+                record = flight.wait()
+            phases["wait_s"] = time.perf_counter() - t0
+            return record, "inflight"
+        try:
+            with obs.span("service.compute", task=task):
+                record = self.backend.compute(
+                    task, form.fingerprint, form.certificate.decode("ascii")
+                )
+        except BaseException as exc:
+            # resolve the flight whatever happened — a leader that left
+            # waiters hanging would deadlock them
+            error = _as_domain_error(exc, f"concurrent compute of '{task}'")
+            self._finish_inflight(key, flight, error=error)
+            raise
+        phases["compute_s"] = time.perf_counter() - t0
+        self._insert(key, record)
+        self._finish_inflight(key, flight, record=record)
+        return record, None
+
     def query(self, task: str, graph: PortGraph) -> QueryResult:
         """Answer one request: fingerprint, cache lookup, compute on
         miss, record.  Concurrent cold queries for the same key compute
@@ -433,90 +410,33 @@ class ServiceCore:
             key = (form.fingerprint, task)
             with obs.span("service.cache_lookup"):
                 record, tier = self._lookup(key)
-            t_lookup = time.perf_counter()
             phases = {
                 "fingerprint_s": t_fp - t0,
-                "lookup_s": t_lookup - t_fp,
+                "lookup_s": time.perf_counter() - t_fp,
             }
             if qsp.recording:
                 qsp.set("fingerprint", form.fingerprint[:16])
-            if record is not None:
-                latency_s = time.perf_counter() - t0
-                self._count(task, "hits", latency_s, tier=tier)
-                if qsp.recording:
-                    qsp.set("tier", tier)
-                self._log_slow_query(
-                    task, form.fingerprint, tier, latency_s, phases
-                )
-                return QueryResult(
-                    task=task,
-                    fingerprint=form.fingerprint,
-                    cached=True,
-                    record=record,
-                    to_canonical=form.to_canonical,
-                )
-            flight, leader = self._join_inflight(key)
-            if not leader:
+            if record is None:
                 try:
-                    with obs.span("service.inflight_wait"):
-                        record = flight.wait()
+                    record, tier = self._compute_or_join(
+                        task, form, key, phases
+                    )
                 except ReproError:
                     self._count(task, "errors", time.perf_counter() - t0)
                     raise
-                latency_s = time.perf_counter() - t0
-                phases["wait_s"] = latency_s - phases["fingerprint_s"] - (
-                    phases["lookup_s"]
-                )
-                self._count(task, "hits", latency_s, tier="inflight")
-                if qsp.recording:
-                    qsp.set("tier", "inflight")
-                self._log_slow_query(
-                    task, form.fingerprint, "inflight", latency_s, phases
-                )
-                return QueryResult(
-                    task=task,
-                    fingerprint=form.fingerprint,
-                    cached=True,
-                    record=record,
-                    to_canonical=form.to_canonical,
-                )
-            try:
-                t_compute = time.perf_counter()
-                with obs.span("service.compute", task=task):
-                    record = self._compute_record(task, form)
-                phases["compute_s"] = time.perf_counter() - t_compute
-            except BaseException as exc:
-                # resolve the flight whatever happened — a leader that
-                # left waiters hanging would deadlock them.  Domain
-                # errors travel as themselves; anything else
-                # (KeyboardInterrupt, a bug) fails the waiters with a
-                # wrapper and re-raises here.
-                if isinstance(exc, ReproError):
-                    self._count(task, "errors", time.perf_counter() - t0)
-                    self._finish_inflight(key, flight, error=exc)
-                else:
-                    self._finish_inflight(
-                        key,
-                        flight,
-                        error=ServiceError(
-                            f"concurrent compute of '{task}' failed: "
-                            f"{type(exc).__name__}: {exc}"
-                        ),
-                    )
-                raise
-            self._insert(key, record)
-            self._finish_inflight(key, flight, record=record)
             latency_s = time.perf_counter() - t0
-            self._count(task, "misses", latency_s)
+            self._count(
+                task, "misses" if tier is None else "hits", latency_s, tier
+            )
             if qsp.recording:
-                qsp.set("tier", "compute")
+                qsp.set("tier", tier or "compute")
             self._log_slow_query(
-                task, form.fingerprint, None, latency_s, phases
+                task, form.fingerprint, tier, latency_s, phases
             )
             return QueryResult(
                 task=task,
                 fingerprint=form.fingerprint,
-                cached=False,
+                cached=tier is not None,
                 record=record,
                 to_canonical=form.to_canonical,
             )
@@ -524,91 +444,50 @@ class ServiceCore:
     # ------------------------------------------------------------------
     # the batch path
     # ------------------------------------------------------------------
-    def _batch_compute_inprocess(
+    def _drain(
         self,
-        to_compute: Dict[str, Dict[str, CanonicalForm]],
-        key_of_name: Dict[Tuple[str, str], CacheKey],
+        to_compute: Dict[CacheKey, CanonicalForm],
         computed: Dict[CacheKey, Record],
         arrival_s: Dict[CacheKey, float],
         t0: float,
     ) -> None:
-        """The N=0 compute phase: each task's residual graphs through
-        ``run_stream`` under the compute lock (the serial path computes
-        — and clears the global view caches — on this request thread;
-        the parallel path computes in worker processes, but the coarse
-        lock stays correct either way)."""
-        from repro.graphs.serialization import from_json
-
-        config = EngineConfig(
-            workers=self.batch_workers, chunk_size=self.batch_chunk_size
-        )
-        with self._compute_lock:
-            for task, forms in to_compute.items():
-                graphs = (
-                    (name, from_json(form.certificate.decode("ascii")))
-                    for name, form in forms.items()
-                )
-                for record in run_stream(graphs, task, config):
-                    key = key_of_name[(task, record["name"])]
-                    computed[key] = record
-                    arrival_s[key] = time.perf_counter() - t0
-                    self._insert(key, record)
-
-    def _batch_compute_sharded(
-        self,
-        to_compute: Dict[str, Dict[str, CanonicalForm]],
-        key_of_name: Dict[Tuple[str, str], CacheKey],
-        computed: Dict[CacheKey, Record],
-        arrival_s: Dict[CacheKey, float],
-        t0: float,
-    ) -> None:
-        """The sharded compute phase: the unique misses grouped by
-        route, one draining thread per involved shard (each worker
-        serves one request at a time, so per-shard threads saturate the
-        pool without queue contention).  A task failure on any shard
-        fails the batch, exactly as the in-process path does — already-
-        landed records are still cached and counted."""
-        assert self._pool is not None
-        by_shard: Dict[int, List[Tuple[str, CanonicalForm]]] = {}
-        for task, forms in to_compute.items():
-            for form in forms.values():
-                shard = self._pool.shard_of(form.fingerprint)
-                by_shard.setdefault(shard, []).append((task, form))
-        errors: List[ReproError] = []
+        """The batch's compute phase: the unique misses grouped by
+        route, one draining thread per route (a route serves one compute
+        at a time, so per-route threads saturate the backend without
+        queue contention).  Every thread runs under the caller's span
+        context, so a traced batch is one trace.  A task failure on any
+        route fails the batch — already-landed records are still cached
+        and counted."""
+        by_route: Dict[int, List[Tuple[CacheKey, CanonicalForm]]] = {}
+        for key, form in to_compute.items():
+            route = self.backend.shard_of(form.fingerprint)
+            by_route.setdefault(route, []).append((key, form))
+        errors: List[Exception] = []
         done_lock = threading.Lock()
+        ctx = obs.export_context()
 
-        def drain(jobs: List[Tuple[str, CanonicalForm]]) -> None:
-            for task, form in jobs:
-                key = (form.fingerprint, task)
-                try:
-                    record = self._pool.compute(
-                        task,
-                        form.fingerprint,
-                        form.certificate.decode("ascii"),
-                    )
-                except ReproError as exc:
-                    with done_lock:
-                        errors.append(exc)
-                    return
-                except Exception as exc:  # a bug must fail the batch,
-                    # not die silently with the drain thread
-                    with done_lock:
-                        errors.append(
-                            ServiceError(
-                                f"shard batch compute failed: "
-                                f"{type(exc).__name__}: {exc}"
-                            )
+        def drain(jobs: List[Tuple[CacheKey, CanonicalForm]]) -> None:
+            with obs.attach(ctx):
+                for key, form in jobs:
+                    fingerprint, task = key
+                    try:
+                        record = self.backend.compute(
+                            task, fingerprint, form.certificate.decode("ascii")
                         )
-                    return
-                now_s = time.perf_counter() - t0
-                with done_lock:
-                    computed[key] = record
-                    arrival_s[key] = now_s
-                self._insert(key, record)
+                    except Exception as exc:  # raised by the caller: a
+                        # bug must not die silently with the drain thread
+                        with done_lock:
+                            errors.append(exc)
+                        return
+                    now_s = time.perf_counter() - t0
+                    with done_lock:
+                        computed[key] = record
+                        arrival_s[key] = now_s
+                    self._insert(key, record)
 
         threads = [
             threading.Thread(target=drain, args=(jobs,), daemon=True)
-            for jobs in by_shard.values()
+            for jobs in by_route.values()
         ]
         for thread in threads:
             thread.start()
@@ -621,10 +500,9 @@ class ServiceCore:
         self, requests: Iterable[Tuple[str, PortGraph]]
     ) -> List[QueryResult]:
         """Answer a request list: hits from the cache, the deduplicated
-        misses through ``run_stream`` in chunks (or across the shard
-        pool in sharded mode), answers in request order.  A task failure
-        inside the fan-out fails the whole batch (the engine's error
-        carries the failing canonical name).
+        misses drained through the compute backend, answers in request
+        order.  A task failure fails the whole batch with the error a
+        single query for that graph raises.
 
         Metrics are per item and honest: a hit is charged its own
         lookup latency; the first occurrence of a cold key is the miss,
@@ -648,8 +526,7 @@ class ServiceCore:
                 float,
             ]
         ] = []
-        to_compute: Dict[str, Dict[str, CanonicalForm]] = {}
-        key_of_name: Dict[Tuple[str, str], CacheKey] = {}
+        to_compute: Dict[CacheKey, CanonicalForm] = {}
         for task, graph in requests:
             self._check_task(task)
             item_t0 = time.perf_counter()
@@ -657,13 +534,9 @@ class ServiceCore:
             key = (form.fingerprint, task)
             hit, tier = self._lookup(key)
             lookup_s = time.perf_counter() - item_t0
-            first = False
-            if hit is None:
-                name = canonical_query_name(form.fingerprint)
-                if name not in to_compute.setdefault(task, {}):
-                    to_compute[task][name] = form
-                    key_of_name[(task, name)] = key
-                    first = True
+            first = hit is None and key not in to_compute
+            if first:
+                to_compute[key] = form
             items.append((task, form, key, hit, tier, first, lookup_s))
 
         # register the unique cold keys so concurrent queries dedup
@@ -672,88 +545,60 @@ class ServiceCore:
         # compute our own copy, a benign duplicate, rather than block
         # the whole batch on a foreign flight)
         flights: Dict[CacheKey, _Inflight] = {}
-        for key in key_of_name.values():
+        for key in to_compute:
             flight, leader = self._join_inflight(key)
             if leader:
                 flights[key] = flight
 
         computed: Dict[CacheKey, Record] = {}
         arrival_s: Dict[CacheKey, float] = {}
+        failure: Optional[BaseException] = None
         try:
-            if self._pool is not None:
-                self._batch_compute_sharded(
-                    to_compute, key_of_name, computed, arrival_s, t0
-                )
-            else:
-                self._batch_compute_inprocess(
-                    to_compute, key_of_name, computed, arrival_s, t0
-                )
+            self._drain(to_compute, computed, arrival_s, t0)
         except BaseException as exc:
-            fail_s = time.perf_counter() - t0
-            for key, flight in flights.items():
-                if key in computed:
-                    self._finish_inflight(key, flight, record=computed[key])
-                else:
-                    self._finish_inflight(
-                        key,
-                        flight,
-                        error=exc
-                        if isinstance(exc, ReproError)
-                        else ServiceError(
-                            f"concurrent batch compute failed: "
-                            f"{type(exc).__name__}: {exc}"
-                        ),
-                    )
-            if not isinstance(exc, ReproError):
-                raise
-            # the whole batch fails (the transport returns one error for
-            # every request), but the counters must still account for
-            # every item — with its real latency: hits stay hits,
-            # records that did land (and got cached) are the miss (first
-            # occurrence) or an inflight hit (duplicates), everything
-            # else is an error charged the time to failure
-            for task, _form, key, hit, tier, first, lookup_s in items:
-                if hit is not None:
-                    self._count(task, "hits", lookup_s, tier=tier)
-                elif key in computed:
-                    if first:
-                        self._count(task, "misses", arrival_s[key])
-                    else:
-                        self._count(
-                            task, "hits", arrival_s[key], tier="inflight"
-                        )
-                else:
-                    self._count(task, "errors", fail_s)
-            raise
+            failure = exc
+        fail_s = time.perf_counter() - t0
+        # release this batch's waiters whatever happened: with the
+        # landed record, else with the failure
         for key, flight in flights.items():
-            self._finish_inflight(key, flight, record=computed[key])
-
+            if key in computed:
+                self._finish_inflight(key, flight, record=computed[key])
+            else:
+                error = _as_domain_error(failure, "concurrent batch compute")
+                self._finish_inflight(key, flight, error=error)
+        if failure is not None and not isinstance(failure, ReproError):
+            raise failure
+        # every item is counted with its real latency, a failed batch's
+        # too (the transport answers it with one error): hits stay hits,
+        # a landed record is the miss (first occurrence) or an inflight
+        # hit (a duplicate, which rode that compute), and an item whose
+        # record never landed is an error charged the time to failure
         results: List[QueryResult] = []
         for task, form, key, hit, tier, first, lookup_s in items:
-            cached = hit is not None
-            record = hit if cached else computed[key]
-            if cached:
+            if hit is not None:
                 self._count(task, "hits", lookup_s, tier=tier)
+            elif key not in computed:
+                self._count(task, "errors", fail_s)
+                continue
             elif first:
                 self._count(task, "misses", arrival_s[key])
             else:
-                # a duplicate of a cold key: it rode the first
-                # occurrence's compute — an in-flight hit, though the
-                # response keeps ``cached=False`` (this batch did
-                # compute it; the flag describes the answer's origin)
+                # the response keeps ``cached=False``: this batch did
+                # compute it, and the flag describes the answer's origin
                 self._count(task, "hits", arrival_s[key], tier="inflight")
             results.append(
                 QueryResult(
                     task=task,
                     fingerprint=form.fingerprint,
-                    cached=cached,
-                    record=record,
+                    cached=hit is not None,
+                    record=computed[key] if hit is None else hit,
                     to_canonical=form.to_canonical,
                 )
             )
+        if failure is not None:
+            raise failure
         return results
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
+        self.backend.close()
         self.cache.close()

@@ -12,9 +12,10 @@ A :class:`ThreadingHTTPServer` wrapping one shared
 
 ``POST /v1/batch``
     Body: ``{"requests": [{"task": ..., "graph": ...}, ...]}``.  Hits
-    come from the cache; the deduplicated misses fan out through the
-    engine's streaming path.  Response: ``{"results": [...]}`` in
-    request order.
+    come from the cache; the deduplicated misses drain through the
+    core's compute backend.  Response: ``{"results": [...]}`` in
+    request order; a failing task answers the error its single query
+    would.
 
 ``GET /healthz``
     Liveness: status, uptime, cache tier sizes, and — in sharded mode —
@@ -50,11 +51,11 @@ architecture").
 
 No third-party dependency: ``http.server`` is in the stdlib.  Request
 threads overlap freely on parsing, fingerprinting and cache hits; task
-*computations* serialize on the core's compute lock (the view caches
-are process-global — see :mod:`repro.service.api`) unless the core runs
-sharded (``ServiceCore(shards=N)`` / ``repro serve --shards N``), where
-cold computes fan out across fingerprint-routed worker processes and
-only per-shard traffic serializes.
+*computations* serialize on the local backend's lock (the view caches
+are process-global — see :mod:`repro.service.shard`) unless the core
+runs sharded (``ServiceCore(shards=N)`` / ``repro serve --shards N``),
+where cold computes fan out across fingerprint-routed worker processes
+and only per-shard traffic serializes.
 """
 
 from __future__ import annotations
@@ -218,7 +219,6 @@ class _Handler(BaseHTTPRequestHandler):
         path, _, query = self.path.partition("?")
         if path == "/healthz":
             metrics = self.core.metrics()
-            pool = getattr(self.core, "_pool", None)
             self._send_json(
                 200,
                 {
@@ -227,10 +227,8 @@ class _Handler(BaseHTTPRequestHandler):
                     "tasks": list(self.core.tasks),
                     "cache": metrics["cache"],
                     "shards": self.core.shards,
-                    "shards_alive": pool.alive() if pool is not None else [],
-                    "shard_health": (
-                        pool.health() if pool is not None else []
-                    ),
+                    "shards_alive": self.core.backend.alive(),
+                    "shard_health": self.core.backend.health(),
                 },
             )
         elif path == "/metrics":

@@ -1,11 +1,13 @@
-"""Fingerprint-sharded compute workers for the query service.
+"""The query service's compute backends.
 
-:class:`~repro.service.api.ServiceCore` serializes every cold compute on
-one ``_compute_lock`` because the view machinery's caches
+:func:`compute_record` is the service's one compute, and both backends
+of :class:`~repro.service.api.ServiceCore` run it, so their records are
+byte-identical.  :class:`LocalBackend` (``shards=0``) runs it in process
+under one lock, because the view machinery's caches
 (:mod:`repro.views.view`) are process-global and not thread-safe.  Warm
 hits scale across server threads; cold computes do not — one GIL-bound
-process runs them one at a time.  This module removes that ceiling by
-construction instead of by finer locking:
+process runs them one at a time.  :class:`ShardPool` removes that
+ceiling by construction instead of by finer locking:
 
 * :func:`shard_of` routes a query to ``int(fingerprint[:16], 16) %
   num_shards``.  The fingerprint is a sha256 hex digest of the graph's
@@ -15,16 +17,15 @@ construction instead of by finer locking:
   strings is salted per process and would break exactly that.)
 * :class:`ShardPool` forks one long-lived worker process per shard.
   Each worker owns its *own* view-cache universe, so the global-cache
-  coherence problem the compute lock solves disappears between shards —
-  the serialization survives only inside each worker, which is what a
+  coherence problem the lock solves disappears between shards — the
+  serialization survives only inside each worker, which is what a
   per-shard pipe round-trip already gives.  Workers receive the
-  canonical certificate (a JSON string — the graph's wire form), run the
-  engine task on the decoded canonical graph, clear their view caches,
-  and ship the record dict back.
+  canonical certificate (a JSON string — the graph's wire form), run
+  :func:`compute_record` on it, and ship the record dict back.
 
 The result cache is *not* sharded: the parent keeps the single
-:class:`~repro.service.cache.ResultCache` (LRU + the PR 7 warehouse /
-JSONL durable tier) and looks it up before dispatching, so every shard
+:class:`~repro.service.cache.ResultCache` (LRU + the warehouse / JSONL
+durable tier) and looks it up before dispatching, so every shard
 reads through the one shared warm tier and every computed record lands
 back in it.  Workers are pure compute: no cache, no sockets, no state
 that outlives a request.
@@ -33,7 +34,7 @@ Failure mapping: a task error inside a worker travels back as ``(error,
 class-name, detail)`` and is rebuilt from :mod:`repro.errors` by name,
 so ``elect`` on an infeasible graph raises
 :class:`~repro.errors.InfeasibleGraphError` in the parent exactly as the
-in-process path does (and the HTTP layer still maps it to 422).  A
+local backend does (and the HTTP layer still maps it to 422).  A
 *dead* worker (killed, crashed) is respawned on the spot and the
 in-flight query fails with a retryable :class:`ServiceError` — one
 query, not the service, pays for the crash.
@@ -46,9 +47,13 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.engine import tasks as engine_tasks
 from repro.engine.records import Record
 from repro.errors import ReproError, ServiceError
+from repro.graphs.serialization import from_json
 from repro.obs import core as obs
+from repro.service.cache import canonical_query_name
+from repro.views.view import clear_view_caches
 
 #: Hex digits of the fingerprint the route is computed from.  64 bits of
 #: a sha256 digest — uniform over shards for any realistic pool size.
@@ -71,26 +76,70 @@ def shard_of(fingerprint: str, num_shards: int) -> int:
     return bucket % num_shards
 
 
-def _shard_worker_main(conn, orbit_collapse: bool) -> None:
+def compute_record(task: str, fingerprint: str, certificate: str) -> Record:
+    """Run ``task`` on the canonical graph ``certificate`` encodes, under
+    the fingerprint-derived name, so the record does not depend on the
+    submitted labeling.  ``elect`` runs through the orbit-collapsed
+    engine, whose record is byte-identical to the per-node one.  The
+    view caches are cleared afterwards, on success or failure: one query
+    is the service's view-cache lifetime, as one chunk is the engine's,
+    so a long-running server's view tables do not grow per query."""
+    graph = from_json(certificate)
+    name = canonical_query_name(fingerprint)
+    try:
+        # looked up on the module at call time, so a wrapper installed
+        # on repro.engine.tasks (perfbench's tracing) sees every compute
+        if task == "elect":
+            record = engine_tasks.elect_record_via_orbits(name, graph)
+        else:
+            record = engine_tasks.get_task(task)(name, graph)
+    finally:
+        clear_view_caches()
+    if isinstance(record, list):
+        raise ServiceError(
+            f"task '{task}' is multi-record and cannot be served"
+        )
+    return record
+
+
+class LocalBackend:
+    """The ``shards=0`` backend: :func:`compute_record` in this process.
+    Computes from all server threads take one lock — a view-cache clear
+    racing another thread's half-built views would corrupt identity
+    interning — while fingerprinting, cache hits and metrics never do.
+    There are no workers, so ``/healthz`` lists none."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+
+    def compute(self, task: str, fingerprint: str, certificate: str) -> Record:
+        with self._lock:
+            return compute_record(task, fingerprint, certificate)
+
+    def shard_of(self, fingerprint: str) -> int:
+        return 0
+
+    def alive(self) -> List[bool]:
+        return []
+
+    def health(self) -> List[Dict[str, Any]]:
+        return []
+
+    def close(self) -> None:
+        pass
+
+
+def _shard_worker_main(conn) -> None:
     """The worker loop: recv ``("compute", task, fingerprint,
-    certificate, obs_ctx)``, run the task on the canonical graph, reply
-    ``("ok", record, events)`` or ``("error", class-name, detail,
-    events)``; ``("stop",)`` or a closed pipe ends the loop.  Mirrors
-    ``ServiceCore._compute`` exactly — same canonical name, same
-    orbit-collapsed ``elect`` fast path, same
-    clear-view-caches-per-query lifetime — which is what makes the
-    sharded records byte-identical to the in-process ones.
+    certificate, obs_ctx)``, run :func:`compute_record`, reply ``("ok",
+    record, events)`` or ``("error", class-name, detail, events)``;
+    ``("stop",)`` or a closed pipe ends the loop.
 
     ``obs_ctx`` is the parent's span context (or None when obs is off):
     the worker brackets the compute in :class:`repro.obs.collect_remote`
     and ships the captured span events back in the reply, so the
     parent's trace stitches the shard's compute phases under the query
     span."""
-    from repro.engine.tasks import elect_record_via_orbits, get_task
-    from repro.graphs.serialization import from_json
-    from repro.service.cache import canonical_query_name
-    from repro.views.view import clear_view_caches
-
     while True:
         try:
             message = conn.recv()
@@ -101,22 +150,10 @@ def _shard_worker_main(conn, orbit_collapse: bool) -> None:
         _op, task, fingerprint, certificate, obs_ctx = message
         with obs.collect_remote(obs_ctx) as collected:
             try:
-                graph = from_json(certificate)
-                name = canonical_query_name(fingerprint)
                 with obs.span(
                     "shard.compute", task=task, fingerprint=fingerprint[:16]
                 ):
-                    try:
-                        if task == "elect" and orbit_collapse:
-                            record = elect_record_via_orbits(name, graph)
-                        else:
-                            record = get_task(task)(name, graph)
-                    finally:
-                        clear_view_caches()
-                if isinstance(record, list):
-                    raise ServiceError(
-                        f"task '{task}' is multi-record and cannot be served"
-                    )
+                    record = compute_record(task, fingerprint, certificate)
                 result: Tuple[Any, ...] = ("ok", record)
             except Exception as exc:  # ship the class name for rebuilding
                 result = ("error", type(exc).__name__, str(exc))
@@ -148,7 +185,8 @@ class ShardPool:
 
     ``compute()`` routes by :func:`shard_of`, takes the shard's lock (so
     at most one in-flight request per worker — the worker-side analogue
-    of the compute lock), and does a synchronous send/recv round-trip.
+    of :class:`LocalBackend`'s lock), and does a synchronous send/recv
+    round-trip.
     Requests for *different* shards proceed in parallel from different
     server threads — that is the whole point.
 
@@ -157,13 +195,12 @@ class ShardPool:
     stragglers) and is what ``ServiceCore.close()`` calls.
     """
 
-    def __init__(self, num_shards: int, orbit_collapse: bool = True):
+    def __init__(self, num_shards: int):
         if num_shards < 1:
             raise ServiceError(
                 f"num_shards must be >= 1, got {num_shards}"
             )
         self.num_shards = num_shards
-        self.orbit_collapse = orbit_collapse
         # fork keeps the loaded modules (and nothing else: workers hold
         # no locks and open no sockets before serving) — same choice as
         # the engine's process pool
@@ -190,7 +227,7 @@ class ShardPool:
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_shard_worker_main,
-            args=(child_conn, self.orbit_collapse),
+            args=(child_conn,),
             daemon=True,
         )
         proc.start()

@@ -245,6 +245,34 @@ class TestCrossProcess:
             assert entry["ts"] >= 0 and entry["dur"] >= 0
         json.dumps(chrome)  # JSON-safe throughout
 
+    @pytest.mark.parametrize("shards", [0, 2])
+    def test_traced_batch_is_one_trace(self, shards):
+        """A batch drains its misses on threads of its own; each runs
+        under the caller's span context, so every compute — in process
+        or in a shard worker — lands in the caller's one trace.  With
+        obs off the same batch records nothing."""
+        from repro.views import is_feasible
+
+        candidates = (random_tree(12, seed=seed) for seed in range(100))
+        trees = [g for g in candidates if is_feasible(g)][:6]
+        core = ServiceCore(ResultCache(), shards=shards)
+        try:
+            core.batch([("elect", g) for g in trees[:3]])
+            assert obs.trace_events() == []
+            assert obs.registry.writes == 0
+            obs.enable()
+            with obs.span("caller") as caller:
+                core.batch([("elect", g) for g in trees[3:]])
+        finally:
+            core.close()
+        events = obs.trace_events()
+        assert {e["trace_id"] for e in events} == {caller.trace_id}
+        assert span_names(events).count("elect.advice") == 3
+        ids = {e["span_id"] for e in events}
+        roots = [e for e in events if e["parent_id"] is None]
+        assert [e["name"] for e in roots] == ["caller"]
+        assert all(e["parent_id"] in ids for e in events if e["parent_id"])
+
     def test_disabled_sharded_query_records_nothing(self):
         """The no-op pin: obs off => zero registry writes, empty buffer,
         and no context shipped over the shard pipe."""

@@ -70,23 +70,17 @@ class TestQuery:
             )
             assert record_to_json(result.record) == record_to_json(offline)
 
-    def test_orbit_collapsed_elect_is_byte_identical(self, tree):
-        """The default core serves ``elect`` through the orbit-collapsed
-        engine; a core with the fast path off (and the cold per-node
-        engine task itself) must produce the same record, byte for byte
-        — cache contents are independent of the flag."""
-        collapsed = ServiceCore()
-        assert collapsed.orbit_collapse
-        pernode = ServiceCore(orbit_collapse=False)
-        r1 = core_record = collapsed.query("elect", tree)
-        r2 = pernode.query("elect", tree)
-        assert not r1.cached and not r2.cached
-        assert record_to_json(r1.record) == record_to_json(r2.record)
+    def test_orbit_collapsed_elect_is_byte_identical(self, core, tree):
+        """The core serves ``elect`` through the orbit-collapsed engine;
+        the offline per-node engine task must produce the same record,
+        byte for byte."""
+        result = core.query("elect", tree)
+        assert not result.cached
         offline = get_task("elect")(
-            canonical_query_name(core_record.fingerprint),
+            canonical_query_name(result.fingerprint),
             canonical_graph(tree),
         )
-        assert record_to_json(r1.record) == record_to_json(offline)
+        assert record_to_json(result.record) == record_to_json(offline)
 
     def test_to_canonical_translates_leader(self, core, tree):
         h = relabeled(tree, seed=8)
@@ -187,6 +181,22 @@ class TestBatch:
         if quotient["misses"]:
             assert core.query("quotient", ring(6)).cached
 
+    def test_compute_bug_raises_as_itself(self, core, tree, monkeypatch):
+        """A failure that is not a domain error (a bug) reaches the
+        caller as itself from a batch, as from a single query, so the
+        transport answers both with a 500; no in-flight entry stays."""
+        from repro.service.shard import LocalBackend
+
+        def broken(self, task, fingerprint, certificate):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(LocalBackend, "compute", broken)
+        with pytest.raises(RuntimeError, match="injected"):
+            core.query("index", tree)
+        with pytest.raises(RuntimeError, match="injected"):
+            core.batch([("index", tree)])
+        assert core._inflight == {}
+
     def test_batch_unknown_task_rejected_before_compute(self, core, tree):
         with pytest.raises(ServiceError):
             core.batch([("index", tree), ("nope", tree)])
@@ -266,9 +276,11 @@ class TestComputeLifecycle:
         assert intern_table_size() == 0
 
     def test_concurrent_mixed_traffic_is_consistent(self):
-        """Single queries and batches race from many threads; every
-        answer must equal the serial reference (the compute lock keeps
-        the global view caches coherent across request threads)."""
+        """Single queries and batches race from many threads, switching
+        often; every answer must equal the serial reference (the local
+        backend's lock keeps the global view caches coherent across
+        request and batch-drain threads)."""
+        import sys
         import threading
 
         graphs = [random_tree(12 + i, seed=i) for i in range(4)]
@@ -299,10 +311,16 @@ class TestComputeLifecycle:
         threads = [
             threading.Thread(target=single, args=(i % 4,)) for i in range(8)
         ] + [threading.Thread(target=batch) for _ in range(3)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(60)
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert not any(t.is_alive() for t in threads)
         assert failures == []
 
 

@@ -18,6 +18,7 @@ from http import HTTPStatus
 import pytest
 
 from repro.cli import main as cli_main
+from repro.errors import InfeasibleGraphError
 from repro.graphs import grid_torus, random_tree, relabel_nodes, ring, to_dict
 from repro.service import (
     ResultCache,
@@ -687,6 +688,34 @@ class TestShardedServer:
                 server.shutdown()
             for thread in threads:
                 thread.join(5)
+
+    @pytest.mark.parametrize("shards", [0, 1])
+    def test_batch_failure_answers_what_a_query_answers(self, shards):
+        """A failing batch raises the single query's error class and
+        detail, and answers the same 422 body, whatever ``shards`` is —
+        not a wrapper that only one compute mode adds."""
+        infeasible = to_dict(ring(6))
+        core = ServiceCore(shards=shards)
+        with serving(core) as url:
+            with pytest.raises(InfeasibleGraphError) as single:
+                core.query("elect", ring(6))
+            with pytest.raises(InfeasibleGraphError) as batched:
+                core.batch([("elect", ring(6))])
+            assert str(batched.value) == str(single.value)
+            query_reply = post_error(
+                url, "/v1/elect", json.dumps(infeasible).encode()
+            )
+            batch_reply = post_error(
+                url,
+                "/v1/batch",
+                json.dumps(
+                    {"requests": [{"task": "elect", "graph": infeasible}]}
+                ).encode(),
+            )
+        assert batch_reply == query_reply == (
+            422,
+            {"error": "InfeasibleGraphError", "detail": str(single.value)},
+        )
 
 
 class TestPersistenceAcrossRestart:

@@ -20,6 +20,7 @@ from repro.graphs import (
     ring,
 )
 from repro.service import ResultCache, ServiceCore, ShardPool, shard_of
+from repro.service.shard import LocalBackend
 
 
 @pytest.fixture()
@@ -131,7 +132,7 @@ class TestShardedParity:
     def test_shards_surface_in_metrics_and_healthz(self, sharded):
         assert sharded.metrics()["shards"] == 2
         assert ServiceCore().metrics()["shards"] == 0
-        assert sharded._pool.alive() == [True, True]
+        assert sharded.backend.alive() == [True, True]
 
     def test_negative_shards_rejected(self):
         with pytest.raises(ServiceError, match="shards"):
@@ -143,8 +144,8 @@ class TestWorkerFailure:
         g = random_tree(12, seed=3)
         core = ServiceCore(ResultCache(capacity=0), shards=2)
         try:
-            shard = core._pool.shard_of(graph_fingerprint(g))
-            victim, _conn = core._pool._workers[shard]
+            shard = core.backend.shard_of(graph_fingerprint(g))
+            victim, _conn = core.backend._workers[shard]
             victim.terminate()
             victim.join(5)
             with pytest.raises(ServiceError, match="worker died"):
@@ -187,16 +188,16 @@ class TestInflightDedup:
                 all_joined.set()
             return flight, leader
 
-        real_compute = ServiceCore._compute
+        real_compute = LocalBackend.compute
         computes = []
 
-        def gated_compute(self, task, form):
+        def gated_compute(self, task, fingerprint, certificate):
             assert all_joined.wait(30), "threads never all joined"
             computes.append(task)
-            return real_compute(self, task, form)
+            return real_compute(self, task, fingerprint, certificate)
 
         monkeypatch.setattr(ServiceCore, "_join_inflight", counting_join)
-        monkeypatch.setattr(ServiceCore, "_compute", gated_compute)
+        monkeypatch.setattr(LocalBackend, "compute", gated_compute)
 
         results = [None] * n_threads
         def run(i):
@@ -236,14 +237,14 @@ class TestInflightDedup:
                 all_joined.set()
             return flight, leader
 
-        real_compute = ServiceCore._compute
+        real_compute = LocalBackend.compute
 
-        def gated_compute(self, task, form):
+        def gated_compute(self, task, fingerprint, certificate):
             assert all_joined.wait(30)
-            return real_compute(self, task, form)
+            return real_compute(self, task, fingerprint, certificate)
 
         monkeypatch.setattr(ServiceCore, "_join_inflight", counting_join)
-        monkeypatch.setattr(ServiceCore, "_compute", gated_compute)
+        monkeypatch.setattr(LocalBackend, "compute", gated_compute)
 
         outcomes = [None] * n_threads
         def run(i):
@@ -299,23 +300,15 @@ class TestInflightDedup:
         core = ServiceCore()
         g = random_tree(14, seed=2)
         batch_started = threading.Event()
-        real_inproc = ServiceCore._batch_compute_inprocess
-
-        def slow_batch_compute(self, *args, **kwargs):
-            batch_started.set()
-            return real_inproc(self, *args, **kwargs)
-
-        monkeypatch.setattr(
-            ServiceCore, "_batch_compute_inprocess", slow_batch_compute
-        )
         computes = []
-        real_compute = ServiceCore._compute
+        real_compute = LocalBackend.compute
 
-        def counted_compute(self, task, form):
+        def counted_compute(self, task, fingerprint, certificate):
             computes.append(task)
-            return real_compute(self, task, form)
+            batch_started.set()
+            return real_compute(self, task, fingerprint, certificate)
 
-        monkeypatch.setattr(ServiceCore, "_compute", counted_compute)
+        monkeypatch.setattr(LocalBackend, "compute", counted_compute)
 
         batch_result = []
         def run_batch():
@@ -339,7 +332,7 @@ class TestInflightDedup:
         )
         # the single query either joined the batch's flight or hit the
         # cache after it landed — it never ran a second compute
-        assert computes == []  # the batch computes via run_stream
+        assert computes == ["elect"]  # the batch's own
         metrics = core.metrics()
         assert metrics["misses"] == 1
         assert metrics["hits"] == 1
