@@ -15,7 +15,7 @@ distinct view once per run, and one root-path index of the tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.coding.bitstring import Bits
 from repro.coding.trees import RootPathIndex
@@ -101,12 +101,8 @@ class ElectRunRecord:
 def run_elect(
     g: PortGraph, bundle: Optional[AdviceBundle] = None, paranoid: bool = False
 ) -> ElectRunRecord:
-    """Full Theorem 3.1 pipeline: ComputeAdvice -> simulate Elect -> verify.
-
-    Asserts the two properties of the theorem that are checkable per run:
-    the leader is the oracle's label-1 node and the election time is
-    exactly phi.
-    """
+    """Full Theorem 3.1 pipeline: ComputeAdvice -> simulate Elect -> verify
+    (:func:`verified_record`)."""
     with obs.span("elect.run", nodes=g.n) as sp:
         if bundle is None:
             with obs.span("elect.advice"):
@@ -120,18 +116,28 @@ def run_elect(
             max_rounds=bundle.phi + 2,
             paranoid=paranoid,
         )
-        with obs.span("elect.verify"):
-            outcome = verify_election(g, result.outputs)
-        if sp.recording:
-            sp.set("phi", bundle.phi)
-            sp.set("advice_bits", bundle.size_bits)
-        if outcome.leader != bundle.root:
-            raise AdviceError(
-                f"elected node {outcome.leader} differs from the oracle's "
-                f"root {bundle.root}"
-            )
-        if result.election_time != bundle.phi:
-            raise AdviceError(
-                f"election time {result.election_time} != phi = {bundle.phi}"
-            )
-        return ElectRunRecord.from_run(g, bundle, result, outcome)
+        return verified_record(sp, g, bundle, result)
+
+
+def verified_record(
+    sp: Any, g: PortGraph, bundle: AdviceBundle, result: RunResult
+) -> ElectRunRecord:
+    """The tail every Elect pipeline shares: verify the run, note phi and
+    the advice size on the pipeline's span ``sp``, and assert the two
+    properties of Theorem 3.1 that are checkable per run: the leader is
+    the oracle's label-1 node and the election time is exactly phi."""
+    with obs.span("elect.verify"):
+        outcome = verify_election(g, result.outputs)
+    if sp.recording:
+        sp.set("phi", bundle.phi)
+        sp.set("advice_bits", bundle.size_bits)
+    if outcome.leader != bundle.root:
+        raise AdviceError(
+            f"elected node {outcome.leader} differs from the oracle's "
+            f"root {bundle.root}"
+        )
+    if result.election_time != bundle.phi:
+        raise AdviceError(
+            f"election time {result.election_time} != phi = {bundle.phi}"
+        )
+    return ElectRunRecord.from_run(g, bundle, result, outcome)

@@ -6,17 +6,16 @@ identical advice: a port-preserving automorphism maps a node's entire
 local history (degree, advice, per-port message sequence) onto its
 image's, so same-orbit nodes hold equal states, compose equal outboxes
 and commit equal outputs in every round.  :class:`OrbitEngine` exploits
-this: it instantiates one algorithm per orbit *representative*, routes
-messages between representatives (the message arriving at ``v`` through
-port ``p`` is whatever the representative of ``v``'s neighbor sent on
-the remote port), and replicates each representative's outputs, output
-round and message counts to all orbit members — producing a
+this: it runs :class:`~repro.sim.local_model.SyncEngine`'s round loop
+over a collapsed partition, one algorithm per block representative,
+with its results replicated to all members — producing a
 :class:`~repro.sim.local_model.RunResult` equal, field for field, to the
-per-node :class:`~repro.sim.local_model.SyncEngine` run.  The per-node
-engine remains the executable spec: the conformance oracle
-(:mod:`repro.conformance.oracle`) cross-checks collapsed against full on
-every sweep entry, and ``tests/test_orbit_elect.py`` does so
-exhaustively on all small graphs.
+per-node run, which is the same loop over the discrete partition.  What
+checks the shared loop is independent of it: on every sweep entry the
+conformance oracle (:mod:`repro.conformance.oracle`) compares per-node
+runs with the asynchronous engine and the per-node view probe with
+``views_of_graph``, and ``tests/test_orbit_elect.py`` compares collapsed
+with per-node exhaustively on all small graphs.
 
 Two valid collapse partitions, exact and fast:
 
@@ -66,8 +65,7 @@ from repro.sim.local_model import (
     NodeAlgorithm,
     NodeContext,
     RunResult,
-    _check_message,
-    _node_contexts,
+    SyncEngine,
 )
 from repro.views.refinement import StablePartition, stable_partition
 
@@ -182,16 +180,11 @@ def behavior_classes(
     )
 
 
-class OrbitEngine:
-    """Synchronous executor that simulates one node per orbit.
-
-    Mirrors :class:`~repro.sim.local_model.SyncEngine` exactly — same
-    round semantics, same error messages, same message accounting — but
-    instantiates algorithms only for the representatives of ``orbits``
-    (default: :func:`behavior_classes`) and replicates their results to
-    all members.  Valid only for the collapse's hypotheses: identical
-    advice at every node (``advice_map`` is refused) and no per-node
-    tracer.
+class OrbitEngine(SyncEngine):
+    """:class:`~repro.sim.local_model.SyncEngine`'s round loop over a
+    collapsed partition, ``orbits`` (default :func:`behavior_classes`).
+    Valid only for the collapse's hypotheses: identical advice at every
+    node (``advice_map`` is refused) and no per-node tracer.
     """
 
     def __init__(
@@ -215,107 +208,17 @@ class OrbitEngine:
                 "orbit collapse cannot drive a per-node tracer; use the "
                 "per-node SyncEngine for traced runs"
             )
-        self._g = graph
-        self._factory = algorithm_factory
-        self._advice = advice
-        self._max_rounds = max_rounds
-        self._paranoid = paranoid
+        super().__init__(
+            graph, algorithm_factory, advice, max_rounds, paranoid
+        )
         self._orbits = orbits
 
     def run(self) -> RunResult:
-        g = self._g
-        from repro.graphs.csr import csr_of
-
-        csr = csr_of(g)
-        n = csr.n
-        degrees = csr.degrees
-        nbrs = csr.neighbor_tuples
-        rports = csr.remote_port_tuples
-        orbits = self._orbits if self._orbits is not None else behavior_classes(g)
-        orbit_of = orbits.orbit_of
-        reps = orbits.representatives
-        sizes = [len(members) for members in orbits.orbits]
-        k = len(reps)
-
-        algorithms = [self._factory() for _ in range(k)]
-        contexts = _node_contexts([degrees[r] for r in reps], self._advice)
-        for i in range(k):
-            algorithms[i].setup(contexts[i])
-        undecided = sum(
-            sizes[i] for i in range(k) if contexts[i]._output_round is None
-        )
-
-        per_round_messages: List[int] = []
-        total_messages = 0
-        rounds = 0
-        inboxes: List[List[Optional[Any]]] = [
-            [None] * degrees[r] for r in reps
-        ]
-        while undecided:
-            if rounds >= self._max_rounds:
-                stuck = [
-                    v
-                    for v in range(n)
-                    if contexts[orbit_of[v]]._output_round is None
-                ]
-                raise SimulationError(
-                    f"simulation exceeded max_rounds={self._max_rounds}; "
-                    f"{len(stuck)} nodes never output (first few: {stuck[:5]})"
-                )
-            rounds += 1
-            # phase 1: every representative composes; each message counts
-            # once per orbit member (the members send identical copies)
-            outboxes: List[Dict[int, Any]] = []
-            round_messages = 0
-            for i in range(k):
-                ctx = contexts[i]
-                was_undecided = ctx._output_round is None
-                out = algorithms[i].compose(ctx) or {}
-                if was_undecided and ctx._output_round is not None:
-                    undecided -= sizes[i]
-                if out:
-                    dv = degrees[reps[i]]
-                    for port, msg in out.items():
-                        if not (0 <= port < dv):
-                            raise AlgorithmError(
-                                f"node sent on port {port} but has degree {dv}"
-                            )
-                        if self._paranoid:
-                            _check_message(msg)
-                    round_messages += len(out) * sizes[i]
-                outboxes.append(out)
-            # phase 2: gather delivery — the message a representative v
-            # receives through port p is what v's real neighbor sent on
-            # the remote port, and the neighbor behaves exactly like its
-            # own representative.  Every slot is written (None when the
-            # sending orbit skipped the port), so no reset pass is needed.
-            for i in range(k):
-                v = reps[i]
-                inbox = inboxes[i]
-                nv = nbrs[v]
-                qv = rports[v]
-                for p in range(degrees[v]):
-                    inbox[p] = outboxes[orbit_of[nv[p]]].get(qv[p])
-            # phase 3: every representative processes
-            for i in range(k):
-                ctx = contexts[i]
-                ctx._round = rounds
-                was_undecided = ctx._output_round is None
-                algorithms[i].deliver(ctx, inboxes[i])
-                if was_undecided and ctx._output_round is not None:
-                    undecided -= sizes[i]
-            total_messages += round_messages
-            per_round_messages.append(round_messages)
-
-        return RunResult(
-            outputs={v: contexts[orbit_of[v]].output_value for v in range(n)},
-            output_round={
-                v: contexts[orbit_of[v]]._output_round for v in range(n)
-            },
-            rounds=rounds,
-            total_messages=total_messages,
-            per_round_messages=per_round_messages,
-        )
+        # an entry point of its own that never calls SyncEngine.run, so a
+        # wrapper around either run (perfbench's sim.orbit and sim.sync
+        # spans) never nests inside the other and counts a run twice
+        orbits = self._orbits or behavior_classes(self._g)
+        return self._run_impl(None, orbits.orbit_of, orbits.representatives)
 
 
 def run_orbit(
@@ -405,17 +308,16 @@ def run_elect_orbit(
     orbits: Optional[OrbitPartition] = None,
 ) -> "ElectRunRecord":
     """:func:`repro.core.elect.run_elect` through the collapsed engine:
-    ComputeAdvice -> simulate Elect once per orbit -> verify.  Performs
-    the same per-run assertions and returns the same record type — the
-    service's ``elect`` fast path computes through this and stays
-    byte-identical to the per-node record.  (On feasible graphs — the
-    only graphs election admits — every orbit is a singleton, so the
-    collapse is the identity; the value here is one engine contract for
-    both regimes, proven equal by the conformance rule.)"""
+    ComputeAdvice -> simulate Elect once per orbit -> verify, with the
+    same verify-and-assert tail (:func:`~repro.core.elect.verified_record`)
+    and the same record type — the service's ``elect`` fast path computes
+    through this and stays byte-identical to the per-node record.  (On
+    feasible graphs — the only graphs election admits — every orbit is a
+    singleton, so the collapse is the identity; the value here is one
+    engine contract for both regimes, proven equal by the conformance
+    rule.)"""
     from repro.core.advice import compute_advice
-    from repro.core.elect import ElectAlgorithm, ElectRunRecord
-    from repro.core.verify import verify_election
-    from repro.errors import AdviceError
+    from repro.core.elect import ElectAlgorithm, verified_record
 
     with obs.span("elect.orbit", nodes=g.n) as sp:
         if bundle is None:
@@ -438,18 +340,4 @@ def run_elect_orbit(
                 )
                 if orbits is not None:
                     sim_sp.set("num_orbits", orbits.num_orbits)
-        with obs.span("elect.verify"):
-            outcome = verify_election(g, result.outputs)
-        if sp.recording:
-            sp.set("phi", bundle.phi)
-            sp.set("advice_bits", bundle.size_bits)
-        if outcome.leader != bundle.root:
-            raise AdviceError(
-                f"elected node {outcome.leader} differs from the oracle's "
-                f"root {bundle.root}"
-            )
-        if result.election_time != bundle.phi:
-            raise AdviceError(
-                f"election time {result.election_time} != phi = {bundle.phi}"
-            )
-        return ElectRunRecord.from_run(g, bundle, result, outcome)
+        return verified_record(sp, g, bundle, result)

@@ -189,7 +189,9 @@ class RunResult:
 
 
 class SyncEngine:
-    """Synchronous executor; see module docstring for round semantics."""
+    """Synchronous executor; see module docstring for round semantics.
+    Its round loop (:meth:`_run_impl`) also runs the collapsed runs of
+    :class:`~repro.core.orbit_elect.OrbitEngine`."""
 
     def __init__(
         self,
@@ -241,68 +243,95 @@ class SyncEngine:
                 sp.set("per_round_costs", tracer.per_round())
             return result
 
-    def _run_impl(self, tracer: Optional[Any]) -> RunResult:
-        g = self._g
-        # flat delivery arrays: the edge out of u through port p is slot
-        # offsets[u] + p, landing in inbox neighbors[slot] at local port
-        # remote_ports[slot] — no method call or tuple unpack per message
+    def _run_impl(
+        self,
+        tracer: Optional[Any],
+        orbit_of: Optional[Sequence[int]] = None,
+        reps: Optional[Sequence[int]] = None,
+    ) -> RunResult:
+        """The round loop over a partition of the nodes: ``orbit_of[v]``
+        is ``v``'s block, ``reps[i]`` a member of block ``i`` (its
+        representative), and ``None`` the discrete partition, i.e. the
+        per-node run.  One algorithm runs per representative, and outputs,
+        output rounds and message counts are replicated by block size.
+        The result is the per-node run's only if the partition is
+        behavior-uniform, which is the caller's contract.  The loop checks,
+        once per run, a necessary condition, not a sufficient one: that
+        the partition fits the graph (every node has a block, and every
+        member has its representative's degree).
+        """
         from repro.graphs.csr import csr_of
 
-        csr = csr_of(g)
+        csr = csr_of(self._g)
         n = csr.n
         degrees = csr.degrees
-        offsets = csr.offsets
-        dst_node = csr.neighbors
-        dst_port = csr.remote_ports
-        algorithms = [self._factory() for _ in range(n)]
-        contexts = _node_contexts(degrees, self._advice, self._advice_map)
+        if orbit_of is None:
+            orbit_of = reps = range(n)
+        k = len(reps)
+        if len(orbit_of) != n:
+            raise SimulationError(
+                f"the partition covers {len(orbit_of)} nodes but the graph "
+                f"has {n}"
+            )
+        sizes = [0] * k
+        for v, b in enumerate(orbit_of):
+            if degrees[v] != degrees[reps[b]]:
+                raise SimulationError(
+                    f"node {v} has degree {degrees[v]} but its block's "
+                    f"representative {reps[b]} has degree {degrees[reps[b]]}; "
+                    "the partition does not fit the graph"
+                )
+            sizes[b] += 1
+        algorithms = [self._factory() for _ in range(k)]
+        contexts = _node_contexts(
+            [degrees[v] for v in reps], self._advice, self._advice_map
+        )
 
-        for v in range(n):
-            algorithms[v].setup(contexts[v])
+        for i in range(k):
+            algorithms[i].setup(contexts[i])
         undecided = sum(
-            1 for v in range(n) if contexts[v]._output_round is None
+            sizes[i] for i in range(k) if contexts[i]._output_round is None
         )
 
         per_round_messages: List[int] = []
         total_messages = 0
         rounds = 0
-        # inbox buffers are allocated once and reused: delivered slots are
-        # reset to None after each processing phase (O(messages), not O(m))
         inboxes: List[List[Optional[Any]]] = [
-            [None] * degrees[v] for v in range(n)
+            [None] * degrees[v] for v in reps
         ]
-        # per-port delivery targets resolved once over the flat arrays:
-        # targets[u][p] is the (inbox buffer, remote port) the message out
-        # of u through p lands in, so the delivery and reset loops do one
-        # tuple unpack per message instead of re-deriving the CSR slot
-        targets: List[List[Tuple[List[Optional[Any]], int]]] = [
+        # one (p, b, q) per slot p of a representative's inbox: the slot is
+        # read from block b's outbox at port q (the neighbor behind p is in
+        # block b and sends to us on its port q)
+        sources = [
             [
-                (inboxes[dst_node[slot]], dst_port[slot])
-                for slot in range(offsets[u], offsets[u] + degrees[u])
+                (p, orbit_of[u], q)
+                for p, (u, q) in enumerate(
+                    zip(csr.neighbor_tuples[v], csr.remote_port_tuples[v])
+                )
             ]
-            for u in range(n)
+            for v in reps
         ]
         while undecided:
             if rounds >= self._max_rounds:
-                stuck = [
-                    v for v in range(n) if contexts[v]._output_round is None
-                ]
+                stuck = [v for v, b in enumerate(orbit_of)
+                         if contexts[b]._output_round is None]
                 raise SimulationError(
                     f"simulation exceeded max_rounds={self._max_rounds}; "
                     f"{len(stuck)} nodes never output (first few: {stuck[:5]})"
                 )
             rounds += 1
-            # phase 1: everyone composes
+            # phase 1: every representative composes; each message counts
+            # once per block member (the members send identical copies)
             outboxes: List[Dict[int, Any]] = []
             round_messages = 0
-            for v in range(n):
-                ctx = contexts[v]
+            for i in range(k):
+                ctx = contexts[i]
                 was_undecided = ctx._output_round is None
-                out = algorithms[v].compose(ctx) or {}
+                out = algorithms[i].compose(ctx) or {}
                 if was_undecided and ctx._output_round is not None:
-                    undecided -= 1
+                    undecided -= sizes[i]
                 if out:
-                    dv = degrees[v]
+                    dv = ctx._degree
                     for port, msg in out.items():
                         if not (0 <= port < dv):
                             raise AlgorithmError(
@@ -310,40 +339,34 @@ class SyncEngine:
                             )
                         if self._paranoid:
                             _check_message(msg)
-                    round_messages += len(out)
+                    round_messages += len(out) * sizes[i]
                 outboxes.append(out)
             if tracer is not None:
                 tracer.record_round(rounds, outboxes)  # after all compose
-            # phase 2: simultaneous delivery, batched over the flat arrays
-            for u in range(n):
-                out = outboxes[u]
-                if out:
-                    tu = targets[u]
-                    for port, msg in out.items():
-                        buf, dp = tu[port]
-                        buf[dp] = msg
-            # phase 3: everyone processes
-            for v in range(n):
-                ctx = contexts[v]
+            # phase 2: simultaneous delivery, gathered: every slot is
+            # written (None when its sender skipped the port), so no
+            # message outlives its round
+            for inbox, src in zip(inboxes, sources):
+                for p, b, q in src:
+                    inbox[p] = outboxes[b].get(q)
+            # phase 3: every representative processes
+            for i in range(k):
+                ctx = contexts[i]
                 ctx._round = rounds
                 was_undecided = ctx._output_round is None
-                algorithms[v].deliver(ctx, inboxes[v])
+                algorithms[i].deliver(ctx, inboxes[i])
                 if was_undecided and ctx._output_round is not None:
-                    undecided -= 1
-            # reset exactly the delivered slots for the next round
-            for u in range(n):
-                out = outboxes[u]
-                if out:
-                    tu = targets[u]
-                    for port in out:
-                        buf, dp = tu[port]
-                        buf[dp] = None
+                    undecided -= sizes[i]
             total_messages += round_messages
             per_round_messages.append(round_messages)
 
         return RunResult(
-            outputs={v: contexts[v].output_value for v in range(n)},
-            output_round={v: contexts[v]._output_round for v in range(n)},
+            outputs={
+                v: contexts[b].output_value for v, b in enumerate(orbit_of)
+            },
+            output_round={
+                v: contexts[b]._output_round for v, b in enumerate(orbit_of)
+            },
             rounds=rounds,
             total_messages=total_messages,
             per_round_messages=per_round_messages,

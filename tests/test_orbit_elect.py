@@ -1,9 +1,10 @@
-"""The orbit-collapsed engine against the per-node spec, exhaustively.
+"""The orbit-collapsed engine against the per-node run, exhaustively.
 
-The per-node :class:`~repro.sim.local_model.SyncEngine` is the executable
-specification; :mod:`repro.core.orbit_elect` claims to reproduce it,
-field for field, while simulating one node per orbit.  This file proves
-the claim where proof is cheapest and strongest:
+Both run :class:`~repro.sim.local_model.SyncEngine`'s round loop: the
+per-node run over the discrete partition, :mod:`repro.core.orbit_elect`
+over a collapsed one, claiming the per-node result field for field while
+simulating one node per orbit.  This file proves the claim where proof
+is cheapest and strongest:
 
 * **exhaustively** on every connected graph shape on 3..6 nodes under
   two port assignments (the same instance set the conformance oracle
@@ -35,7 +36,7 @@ from repro.core.orbit_elect import (
     view_probe_factory,
 )
 from repro.errors import SimulationError
-from repro.graphs import from_networkx, grid_torus, to_json
+from repro.graphs import from_networkx, grid_torus, path_graph, ring, to_json
 from repro.sim import run_sync
 from repro.views import is_feasible
 from repro.views.refinement import stable_partition
@@ -192,6 +193,32 @@ class TestGuardrails:
         with pytest.raises(SimulationError) as collapsed:
             run_orbit(g, factory, max_rounds=3)
         assert str(collapsed.value) == str(full.value)
+
+    @pytest.mark.parametrize(
+        "graph, partition_of, match",
+        [
+            # one 8-member block would count every message 8 times
+            (ring(6), ring(8), "covers 8 nodes but the graph has 6"),
+            # a degree-1 end would stand for degree-2 inner nodes
+            (path_graph(6), ring(6), "does not fit the graph"),
+            # too few entries: a block lookup past the end
+            (ring(8), ring(6), "covers 6 nodes but the graph has 8"),
+        ],
+        ids=["ring6-under-ring8", "path6-under-ring6", "ring8-under-ring6"],
+    )
+    def test_partition_that_does_not_fit_is_refused(
+        self, graph, partition_of, match
+    ):
+        """The loop checks the necessary conditions (one block entry per
+        node, members of their representative's degree); behavior-
+        uniformity beyond them is the caller's contract."""
+        with pytest.raises(SimulationError, match=match):
+            run_orbit(
+                graph,
+                view_probe_factory(2),
+                max_rounds=4,
+                orbits=behavior_classes(partition_of),
+            )
 
     def test_negative_probe_depth_is_rejected(self):
         from repro.errors import AlgorithmError
