@@ -909,7 +909,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--chunk-size", type=int, default=None,
-        help="corpus entries per chunk (the view-cache lifetime)",
+        help="corpus entries per chunk (view caches live one entry)",
     )
     p.add_argument(
         "--json", dest="json_out", default=None,
@@ -959,7 +959,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--chunk-size", type=int, default=None,
-        help="corpus entries per chunk (the view-cache lifetime)",
+        help="corpus entries per chunk (view caches live one entry)",
     )
     p.add_argument(
         "--out", default=None,

@@ -11,16 +11,55 @@ component both encode to the empty string.  We decode the empty string as
 the empty sequence; every caller in this library wraps components in an
 outer ``Concat``, where empty components are delimited by separators and
 therefore round-trip exactly.
+
+Nested codes in one pass.  The outer ``Concat`` doubles every digit of a
+``Concat`` nested inside it, so a ``Concat`` nested k deep (level k)
+writes its separators as ``01`` with each digit repeated ``2**k`` times,
+and its components at level k + 1.  The advice codes
+(:mod:`repro.coding.tries`, :mod:`repro.coding.nested`,
+:mod:`repro.coding.trees`) write every integer code once, directly at its
+level, through the tables of :func:`nesting_levels`, and join the parts
+once: the same bits as nested :func:`concat_bits` calls, without
+re-doubling any intermediate string.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from repro.coding.bitstring import Bits
 from repro.errors import CodingError
 
 _SEPARATOR = "01"
+
+#: ``(separator, digit table)`` of one ``Concat`` nesting level
+Level = Tuple[str, Dict[int, str]]
+
+
+def nesting_levels(count: int) -> List[Level]:
+    """``(separator, digit table)`` for nesting levels ``0 .. count-1``.
+
+    Level k repeats each digit ``2**k`` times.  A ``Concat`` at level k
+    writes its separators with ``levels[k][0]`` and its components at
+    level k + 1; an integer code at level k is ``uint_at(x,
+    levels[k][1])``.  Built per encode call."""
+    levels: List[Level] = []
+    for k in range(count):
+        zeros, ones = "0" * (1 << k), "1" * (1 << k)
+        levels.append((zeros + ones, str.maketrans({"0": zeros, "1": ones})))
+    return levels
+
+
+def uint_at(x: int, table: Dict[int, str]) -> str:
+    """``bin(x)`` written through a digit table of :func:`nesting_levels`.
+
+    Rejects a negative integer as ``encode_uint`` does: ``format(-1, "b")``
+    is ``"-1"``, which no table would catch."""
+    if x < 0:
+        raise CodingError(
+            f"encode_uint requires a non-negative integer, got {x}"
+        )
+    return format(x, "b").translate(table)
 
 
 def concat_bits(components: Sequence[Bits]) -> Bits:

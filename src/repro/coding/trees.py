@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.coding.bitstring import Bits
-from repro.coding.concat import concat_bits, decode_concat
-from repro.coding.integers import decode_uint, encode_uint
+from repro.coding.concat import Level, decode_concat, nesting_levels, uint_at
+from repro.coding.integers import decode_uint
 from repro.errors import CodingError
 
 
@@ -158,9 +158,24 @@ class RootPathIndex:
 # ----------------------------------------------------------------------
 def encode_tree(tree: LabeledRootedTree) -> Bits:
     """Binary code of a labeled rooted tree (see module docstring)."""
-    ascent = concat_bits([encode_uint(1)])
-    steps: List[Bits] = []
-    labels: List[Bits] = [encode_uint(tree.label)]
+    out: List[str] = []
+    write_tree(tree, 0, nesting_levels(4), out)
+    return Bits._unsafe("".join(out))
+
+
+def write_tree(
+    tree: LabeledRootedTree, level: int, levels: List[Level], out: List[str]
+) -> None:
+    """Append ``bin(T)`` written at ``Concat`` nesting ``level`` to
+    ``out``; ``levels`` must reach ``level + 3`` (the ports of a step)."""
+    sep = levels[level][0]
+    list_sep = levels[level + 1][0]
+    step_sep, label_table = levels[level + 2]
+    port_table = levels[level + 3][1]
+    descent = "0".translate(port_table) + step_sep
+    ascent = "1".translate(port_table)
+    steps: List[str] = []
+    labels = [uint_at(tree.label, label_table)]
     # one iterator over the port-ordered children per open node
     stack = [iter(_port_order(tree))]
     while stack:
@@ -172,13 +187,16 @@ def encode_tree(tree: LabeledRootedTree) -> Bits:
             continue
         port_parent, port_child, child = edge
         steps.append(
-            concat_bits(
-                [encode_uint(0), encode_uint(port_parent), encode_uint(port_child)]
-            )
+            descent
+            + uint_at(port_parent, port_table)
+            + step_sep
+            + uint_at(port_child, port_table)
         )
-        labels.append(encode_uint(child.label))
+        labels.append(uint_at(child.label, label_table))
         stack.append(iter(_port_order(child)))
-    return concat_bits([concat_bits(steps), concat_bits(labels)])
+    out.append(list_sep.join(steps))
+    out.append(sep)
+    out.append(list_sep.join(labels))
 
 
 def decode_tree(bits: Bits) -> LabeledRootedTree:
@@ -196,31 +214,44 @@ def decode_tree(bits: Bits) -> LabeledRootedTree:
     label_iter = iter(labels)
     root = LabeledRootedTree(next(label_iter))
     stack = [root]
+    # each distinct step string is parsed once per call (ports are small,
+    # so steps repeat); only a cleanly parsed step enters the memo
+    parsed: Dict[str, Tuple[int, ...]] = {}
     for step in steps:
-        fields = decode_concat(step)
-        if not fields:
-            raise CodingError("empty walk step in tree code")
-        kind = decode_uint(fields[0])
-        if kind == 0:
-            if len(fields) != 3:
-                raise CodingError("descent step must carry two port numbers")
-            port_parent = decode_uint(fields[1])
-            port_child = decode_uint(fields[2])
+        key = step.as_str()
+        ports = parsed.get(key)
+        if ports is None:
+            ports = parsed[key] = _parse_step(step)
+        if ports:
             try:
                 child = LabeledRootedTree(next(label_iter))
             except StopIteration:
                 raise CodingError("tree code ran out of labels during walk")
-            stack[-1].add_child(port_parent, port_child, child)
+            stack[-1].add_child(ports[0], ports[1], child)
             stack.append(child)
-        elif kind == 1:
+        else:
             if len(stack) <= 1:
                 raise CodingError("ascent step at the root")
             stack.pop()
-        else:
-            raise CodingError(f"unknown walk step kind {kind}")
     if len(stack) != 1:
         raise CodingError("tree walk did not return to the root")
     remaining = sum(1 for _ in label_iter)
     if remaining:
         raise CodingError(f"{remaining} unused labels in tree code")
     return root
+
+
+def _parse_step(step: Bits) -> Tuple[int, ...]:
+    """One walk step: the ``(port at parent, port at child)`` of a
+    descent, or ``()`` for an ascent."""
+    fields = decode_concat(step)
+    if not fields:
+        raise CodingError("empty walk step in tree code")
+    kind = decode_uint(fields[0])
+    if kind == 0:
+        if len(fields) != 3:
+            raise CodingError("descent step must carry two port numbers")
+        return (decode_uint(fields[1]), decode_uint(fields[2]))
+    if kind == 1:
+        return ()
+    raise CodingError(f"unknown walk step kind {kind}")

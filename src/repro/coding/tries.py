@@ -21,11 +21,11 @@ queries in preorder.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.coding.bitstring import Bits
-from repro.coding.concat import concat_bits, decode_concat
-from repro.coding.integers import decode_uint, encode_uint
+from repro.coding.concat import Level, decode_concat, nesting_levels, uint_at
+from repro.coding.integers import decode_uint
 from repro.errors import CodingError
 
 
@@ -94,25 +94,48 @@ def encode_trie(trie: Trie) -> Bits:
     """Binary code of a trie: ``Concat`` of preorder node records, each
     ``Concat(bin(0))`` for a leaf or ``Concat(bin(1), bin(a), bin(b))`` for
     an internal node with query ``(a, b)``."""
-    records: List[Bits] = []
+    out: List[str] = []
+    write_trie(trie, 0, nesting_levels(3), out)
+    return Bits._unsafe("".join(out))
 
-    def dfs(node: Trie) -> None:
-        if node.is_leaf:
-            records.append(concat_bits([encode_uint(0)]))
+
+def write_trie(
+    trie: Trie, level: int, levels: List[Level], out: List[str]
+) -> None:
+    """Append ``bin(trie)`` written at ``Concat`` nesting ``level`` to
+    ``out``; ``levels`` must reach ``level + 2`` (see
+    :func:`~repro.coding.concat.nesting_levels`)."""
+    sep = levels[level][0]
+    field_sep = levels[level + 1][0]
+    table = levels[level + 2][1]
+    leaf = "0".translate(table)
+    internal = "1".translate(table) + field_sep
+    records: List[str] = []
+    stack = [trie]
+    while stack:
+        node = stack.pop()
+        if node.query is None:
+            records.append(leaf)
         else:
             a, b = node.query
             records.append(
-                concat_bits([encode_uint(1), encode_uint(a), encode_uint(b)])
+                internal + uint_at(a, table) + field_sep + uint_at(b, table)
             )
-            dfs(node.left)
-            dfs(node.right)
-
-    dfs(trie)
-    return concat_bits(records)
+            stack.append(node.right)
+            stack.append(node.left)
+    out.append(sep.join(records))
 
 
 def decode_trie(bits: Bits) -> Trie:
     """Inverse of :func:`encode_trie`."""
+    return decode_trie_memo(bits, {})
+
+
+def decode_trie_memo(bits: Bits, parsed: Dict[str, Tuple[int, ...]]) -> Trie:
+    """:func:`decode_trie` with a caller-owned memo ``record string ->
+    query`` (``()`` for a leaf): each distinct record is parsed once per
+    memo, so the tries of one E2 code share the parse of their records.
+    Only a record that parsed cleanly enters the memo."""
     records = decode_concat(bits)
     if not records:
         raise CodingError("empty trie code")
@@ -122,26 +145,37 @@ def decode_trie(bits: Bits) -> Trie:
         nonlocal pos
         if pos >= len(records):
             raise CodingError("trie code ended prematurely")
-        fields = decode_concat(records[pos])
+        record = records[pos]
         pos += 1
-        if not fields:
-            raise CodingError("empty trie node record")
-        kind = decode_uint(fields[0])
-        if kind == 0:
-            if len(fields) != 1:
-                raise CodingError("leaf record must have no payload")
+        key = record.as_str()
+        query = parsed.get(key)
+        if query is None:
+            query = parsed[key] = _parse_record(record)
+        if not query:
             return trie_leaf()
-        if kind == 1:
-            if len(fields) != 3:
-                raise CodingError("internal record must carry a (a, b) query")
-            a = decode_uint(fields[1])
-            b = decode_uint(fields[2])
-            left = parse()
-            right = parse()
-            return trie_node((a, b), left, right)
-        raise CodingError(f"unknown trie record kind {kind}")
+        left = parse()
+        right = parse()
+        return trie_node(query, left, right)
 
     result = parse()
     if pos != len(records):
         raise CodingError(f"{len(records) - pos} trailing records in trie code")
     return result
+
+
+def _parse_record(record: Bits) -> Tuple[int, ...]:
+    """One node record: ``()`` for a leaf, the ``(a, b)`` query of an
+    internal node."""
+    fields = decode_concat(record)
+    if not fields:
+        raise CodingError("empty trie node record")
+    kind = decode_uint(fields[0])
+    if kind == 0:
+        if len(fields) != 1:
+            raise CodingError("leaf record must have no payload")
+        return ()
+    if kind == 1:
+        if len(fields) != 3:
+            raise CodingError("internal record must carry a (a, b) query")
+        return (decode_uint(fields[1]), decode_uint(fields[2]))
+    raise CodingError(f"unknown trie record kind {kind}")

@@ -18,11 +18,22 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.coding.bitstring import Bits
-from repro.coding.concat import concat_bits, decode_concat
+from repro.coding.concat import decode_concat, nesting_levels, uint_at
 from repro.coding.integers import decode_uint, encode_uint
-from repro.coding.nested import E2Type, decode_e2, e2_as_maps, encode_e2
-from repro.coding.trees import LabeledRootedTree, decode_tree, encode_tree
-from repro.coding.tries import Trie, decode_trie, encode_trie
+from repro.coding.nested import (
+    E2Type,
+    decode_e2,
+    e2_as_maps,
+    encode_e2,
+    write_e2,
+)
+from repro.coding.trees import (
+    LabeledRootedTree,
+    decode_tree,
+    encode_tree,
+    write_tree,
+)
+from repro.coding.tries import Trie, decode_trie, encode_trie, write_trie
 from repro.core.labels import LabelingContext, retrieve_label
 from repro.core.trie_builder import build_trie
 from repro.errors import AdviceError
@@ -129,9 +140,19 @@ def compute_advice(g: PortGraph, phi: Optional[int] = None) -> AdviceBundle:
     root = next(u for u, lab in labels.items() if lab == 1)
     tree = canonical_bfs_tree(g, root, labels)
 
-    a1 = concat_bits([encode_trie(ctx.e1), encode_e2(e2)])
-    a2 = encode_tree(tree)
-    bits = concat_bits([encode_uint(phi), a1, a2])
+    # Adv = Concat(bin(phi), Concat(bin(E1), bin(E2)), bin(T)), every code
+    # written once at its Concat level (E2's trie records sit deepest, at
+    # level 4, their digits at level 6) and joined once
+    levels = nesting_levels(7)
+    sep = levels[0][0]
+    a1_sep, phi_table = levels[1]
+    out = [uint_at(phi, phi_table), sep]
+    write_trie(ctx.e1, 2, levels, out)
+    out.append(a1_sep)
+    write_e2(e2, 2, levels, out)
+    out.append(sep)
+    write_tree(tree, 1, levels, out)
+    bits = Bits._unsafe("".join(out))
 
     return AdviceBundle(
         bits=bits, phi=phi, e1=ctx.e1, e2=e2, tree=tree, labels=labels, root=root

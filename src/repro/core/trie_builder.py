@@ -5,7 +5,8 @@ produce a trie whose queries route each view of S to a distinct leaf.
 
 * Depth 1 (the paper's ``E1 = emptyset`` case): queries inspect the binary
   encoding ``bin(B^1)`` — first split by length, then by the first
-  differing bit position.
+  differing bit position.  That is a left chain of length queries over
+  compact binary tries of the sorted codes, built in one pass.
 * Depth >= 2: all views of S share the same depth-(l-1) truncation (this
   is the invariant under which ComputeAdvice calls BuildTrie, preserved by
   both recursive branches), so any two views differ in some child's
@@ -18,7 +19,7 @@ produce a trie whose queries route each view of S to a distinct leaf.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.coding.tries import Trie, trie_leaf, trie_node
 from repro.core.labels import LabelingContext, retrieve_label
@@ -49,33 +50,54 @@ def build_trie(views: Sequence[View], ctx: LabelingContext) -> Trie:
 
 
 def _build_depth1(views: List[View]) -> Trie:
-    if len(views) == 1:
-        return trie_leaf()
-    encodings = {v: encode_b1(v) for v in views}
-    lengths = {len(bits) for bits in encodings.values()}
-    if len(lengths) > 1:
-        longest = max(lengths)
-        left_set = [v for v in views if len(encodings[v]) < longest]
-        query = (0, longest)
-    else:
-        (common_len,) = lengths
-        split_pos = None
-        for j in range(1, common_len + 1):
-            bits_at_j = {encodings[v].bit(j) for v in views}
-            if len(bits_at_j) > 1:
-                split_pos = j
-                break
-        if split_pos is None:
+    """The depth-1 trie, built in one pass over the sorted codes.
+
+    The paper's splits depend only on the set of codes ``bin(B^1)``: first
+    by length (query ``(0, longest)``, the longest codes to the right),
+    then by the first differing bit (query ``(1, j)``, 0 to the left).  So
+    the trie is a left chain of ``(0, L)`` nodes over the distinct lengths
+    in ascending order, and the right child of each is the compact binary
+    trie of the codes of length L (:func:`_bit_trie`)."""
+    by_length: Dict[int, List[int]] = {}
+    for v in views:
+        code = encode_b1(v).as_str()
+        # only a degree-0 view (the one-node graph) has the empty code
+        by_length.setdefault(len(code), []).append(int(code, 2) if code else 0)
+    trie: Optional[Trie] = None
+    for length in sorted(by_length):
+        group = _bit_trie(sorted(by_length[length]), length)
+        trie = group if trie is None else trie_node((0, length), trie, group)
+    return trie
+
+
+def _bit_trie(codes: List[int], length: int) -> Trie:
+    """The compact binary trie of sorted codes of one ``length`` (as ints).
+
+    A range of sorted codes splits at its first differing bit, after the
+    prefix m that all its codes share: query ``(1, m + 1)``, the codes with
+    a 0 there (a prefix of the range) to the left.  Adjacent codes ``a``,
+    ``b`` share ``length - (a ^ b).bit_length()`` leading bits, and a
+    range's split is its unique adjacent pair sharing the fewest.  So one
+    left-to-right pass builds the trie: ``pending`` holds the splits whose
+    left side is finished, and a pair sharing fewer bits closes every
+    pending split that shares more."""
+    pending: List[Tuple[int, Trie]] = []
+    trie = trie_leaf()
+    for prev, code in zip(codes, codes[1:]):
+        shared = length - (prev ^ code).bit_length()
+        if shared == length:
             raise AdviceError(
                 "distinct depth-1 views share one encoding: codec is broken"
             )
-        left_set = [v for v in views if encodings[v].bit(split_pos) == 0]
-        query = (1, split_pos)
-    left = set(left_set)
-    right_set = [v for v in views if v not in left]
-    if not left_set or not right_set:
-        raise AdviceError("depth-1 trie split produced an empty side")
-    return trie_node(query, _build_depth1(left_set), _build_depth1(right_set))
+        while pending and pending[-1][0] > shared:
+            prefix, left = pending.pop()
+            trie = trie_node((1, prefix + 1), left, trie)
+        pending.append((shared, trie))
+        trie = trie_leaf()
+    while pending:
+        prefix, left = pending.pop()
+        trie = trie_node((1, prefix + 1), left, trie)
+    return trie
 
 
 def _build_deep(views: List[View], ctx: LabelingContext) -> Trie:

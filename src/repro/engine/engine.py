@@ -17,10 +17,11 @@ Bounded view caches
     The view intern table (:mod:`repro.views.view`) is process-local and
     grows monotonically.  Workers — and the serial path, which runs the
     exact same chunk runner — call
-    :func:`~repro.views.view.clear_view_caches` after every chunk, so the
-    table is bounded by the largest chunk instead of the whole sweep.
-    Records are plain dicts, so no view from a cleared table ever escapes
-    a chunk.
+    :func:`~repro.views.view.clear_view_caches` after every corpus entry,
+    so the table is bounded by the largest entry instead of the whole
+    sweep, and no entry pays to re-rank the views of the entries before
+    it.  Records are plain dicts, so no view from a cleared table ever
+    escapes an entry.
 
 Transport
     Graphs cross the process boundary as their canonical JSON
@@ -50,6 +51,7 @@ from repro.errors import EngineError
 from repro.graphs.port_graph import PortGraph
 from repro.graphs.serialization import from_json, to_json
 from repro.obs import core as obs
+from repro.views.view import clear_view_caches
 
 # (corpus position, name, canonical graph JSON — or the graph itself on
 # the serial path, which crosses no process boundary)
@@ -68,12 +70,12 @@ class EngineConfig:
         Number of worker processes; ``1`` (the default) runs in-process
         through the identical chunk runner.
     ``chunk_size``
-        Corpus entries per chunk — the view-cache lifetime and the unit of
-        work stealing.  ``None`` picks :func:`default_chunk_size`.
+        Corpus entries per chunk — the unit of work stealing and of graph
+        transport.  ``None`` picks :func:`default_chunk_size`.
     ``clear_caches``
-        Call ``clear_view_caches()`` after each chunk (on by default;
-        disable only for single-shot micro-benchmarks that want warm
-        caches).
+        Call ``clear_view_caches()`` after each corpus entry (on by
+        default; disable only for single-shot micro-benchmarks that want
+        warm caches).
     """
 
     workers: int = 1
@@ -90,9 +92,9 @@ class EngineConfig:
 
 
 def default_chunk_size(num_items: int, workers: int) -> int:
-    """Four chunks per worker: large enough to amortize the per-chunk graph
-    decode and cache rebuild, small enough to balance load and bound the
-    intern table."""
+    """Four chunks per worker: large enough to amortize the per-chunk
+    dispatch, small enough to balance load.  The view caches live for one
+    entry whatever the chunk size."""
     if workers <= 1:
         return max(1, min(8, num_items))
     return max(1, math.ceil(num_items / (4 * workers)))
@@ -122,8 +124,8 @@ def _run_chunk(
     payload: _ChunkPayload,
 ) -> Tuple[List[Tuple[int, Record]], List[Dict[str, Any]]]:
     """Process one chunk (runs in a worker, or inline when serial): decode
-    each graph, apply the task, and drop the process-local view caches so
-    the intern table stays bounded by the chunk.
+    each graph, apply the task, and drop the process-local view caches
+    after each entry, so the intern table stays bounded by one entry.
 
     A multi-record task returns a *list* (its record group, summary
     last); the group is flattened in order under the entry's corpus
@@ -153,15 +155,21 @@ def _run_chunk(
                             out.extend((pos, record) for record in result)
                         else:
                             out.append((pos, result))
-                        if not encoded and clear_caches:
-                            # serial fast path: the caller's graph object
-                            # outlives the chunk, so drop the derived CSR
-                            # arrays and the canonical form with the other
-                            # caches — memory stays bounded by the chunk,
-                            # not the corpus (decoded graphs die with the
-                            # chunk)
-                            graph._csr_cache = None
-                            graph._canon_cache = None
+                        if clear_caches:
+                            # an entry's views are garbage once its
+                            # record exists, and a later entry would pay
+                            # to re-rank them with its own
+                            clear_view_caches()
+                            if not encoded:
+                                # serial fast path: the caller's graph
+                                # object outlives the entry, so drop the
+                                # derived CSR arrays and the canonical
+                                # form with the other caches — memory
+                                # stays bounded by one entry, not the
+                                # corpus (decoded graphs die with the
+                                # chunk)
+                                graph._csr_cache = None
+                                graph._canon_cache = None
                     except EngineError:
                         raise  # already carries context (pickles: str args)
                     except Exception as exc:
@@ -175,9 +183,8 @@ def _run_chunk(
                             f"{type(exc).__name__}: {exc}"
                         ) from exc
             finally:
+                # the error path: an entry that raised left its views
                 if clear_caches:
-                    from repro.views.view import clear_view_caches
-
                     clear_view_caches()
     return out, collected.events
 

@@ -23,9 +23,9 @@ Bounded memory
     worker in flight (submitted but not yet drained) — the backpressure
     that plain ``Pool.imap`` lacks: ``imap``'s task-feeder thread drains
     the *whole* input iterable into its internal queue, which is exactly
-    the materialization this module exists to avoid.  Each finished chunk
-    still triggers ``clear_view_caches()`` in its process, so the view
-    intern table stays bounded by one chunk's working set.
+    the materialization this module exists to avoid.  The chunk runner
+    still calls ``clear_view_caches()`` after each entry in its process,
+    so the view intern table stays bounded by one entry's working set.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from repro.graphs.port_graph import PortGraph
 from repro.graphs.serialization import to_json
 from repro.obs import core as obs
 
-#: Streaming default chunk size: large enough to amortize per-chunk graph
-#: decode and cache teardown, small enough that one chunk bounds memory.
+#: Streaming default chunk size: large enough to amortize per-chunk
+#: dispatch, small enough that one chunk bounds memory.
 DEFAULT_STREAM_CHUNK_SIZE = 8
 
 #: Chunks in flight per worker on the parallel path (submitted, not yet

@@ -34,7 +34,11 @@ A :class:`ThreadingHTTPServer` wrapping one shared
 Error mapping: malformed requests (bad JSON, bad graph, unknown task or
 route) return 400/404; a task failure on a valid graph (e.g. ``elect``
 on an infeasible network, or on the one-node graph, whose advice is
-undefined) returns 422 with the error class and detail.  The errors
+undefined) returns 422 with the error class and detail.  An error that
+carries an ``http_status`` answers with it, on ``/v1/<task>`` and
+``/v1/batch`` alike: a shard worker that died mid-compute, or a closed
+shard pool, is a retryable 503 with ``Retry-After: 1`` (the next query
+reaches the respawned worker), and a chunked request body is a 411.  The errors
 ``http.server`` answers itself — an unsupported method (501), a bad
 request line (400) or HTTP version (505), a URI over 64 KiB (414), too
 many headers (431) — keep their status but carry ``{"error": <reason
@@ -112,6 +116,9 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if status == 503:
+            # every 503 is a retryable backend failure
+            self.send_header("Retry-After", "1")
         if self.close_connection:
             # announce an error-path close (e.g. an unconsumed body) so
             # keep-alive clients do not try to reuse the connection
@@ -291,8 +298,9 @@ class _Handler(BaseHTTPRequestHandler):
             result = self.core.query(task, graph)
         except ReproError as exc:
             # a well-formed request the computation rejects, e.g. elect
-            # on an infeasible graph
-            self._send_error_json(422, exc)
+            # on an infeasible graph, or a retryable backend failure that
+            # carries its own status (503 for a dying shard worker)
+            self._send_error_json(getattr(exc, "http_status", 422), exc)
             return
         except Exception as exc:
             self._send_internal_error(exc)
@@ -324,10 +332,11 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             results = self.core.batch(requests)
         except ServiceError as exc:
-            self._send_error_json(400, exc)
+            # an unknown task is a 400; a dying shard worker carries 503
+            self._send_error_json(getattr(exc, "http_status", 400), exc)
             return
         except ReproError as exc:
-            self._send_error_json(422, exc)
+            self._send_error_json(getattr(exc, "http_status", 422), exc)
             return
         except Exception as exc:
             self._send_internal_error(exc)

@@ -36,8 +36,9 @@ so ``elect`` on an infeasible graph raises
 :class:`~repro.errors.InfeasibleGraphError` in the parent exactly as the
 local backend does (and the HTTP layer still maps it to 422).  A
 *dead* worker (killed, crashed) is respawned on the spot and the
-in-flight query fails with a retryable :class:`ServiceError` — one
-query, not the service, pays for the crash.
+in-flight query fails with a retryable :class:`ServiceError` whose
+``http_status`` is 503 — one query, not the service, pays for the
+crash.
 """
 
 from __future__ import annotations
@@ -262,7 +263,9 @@ class ShardPool:
         retryable :class:`ServiceError` (after respawning the worker) if
         the worker died mid-request."""
         if self._closed:
-            raise ServiceError("shard pool is closed")
+            exc = ServiceError("shard pool is closed")
+            exc.http_status = 503  # Service Unavailable: retry elsewhere
+            raise exc
         shard = self.shard_of(fingerprint)
         with self._locks[shard]:
             proc, conn = self._workers[shard]
@@ -295,10 +298,12 @@ class ShardPool:
                     "error": detail,
                 }
                 obs.inc("shard_restarts", shard=shard)
-                raise ServiceError(
+                exc = ServiceError(
                     f"shard {shard} {detail}; worker restarted, retry the "
                     f"query"
-                ) from None
+                )
+                exc.http_status = 503  # Service Unavailable: retryable
+                raise exc from None
         obs.ingest(reply[-1])
         if reply[0] == "ok":
             return reply[1]

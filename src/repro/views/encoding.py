@@ -15,8 +15,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.coding.bitstring import Bits
-from repro.coding.concat import concat_bits
-from repro.coding.integers import encode_uint
+from repro.coding.concat import nesting_levels, uint_at
 from repro.views.view import View
 
 _B1_CACHE: Dict[int, Bits] = {}
@@ -31,13 +30,21 @@ def encode_b1(view: View) -> Bits:
     cached = _B1_CACHE.get(id(view))
     if cached is not None:
         return cached
-    triples = []
-    for j, (remote_port, child) in enumerate(view.children):
-        triples.append(
-            concat_bits(
-                [encode_uint(j), encode_uint(remote_port), encode_uint(child.degree)]
-            )
+    # the outer Concat at level 0, each triple one level down, written at
+    # its level in one pass (see repro.coding.concat)
+    levels = nesting_levels(3)
+    sep = levels[0][0]
+    field_sep = levels[1][0]
+    table = levels[2][1]
+    result = Bits._unsafe(
+        sep.join(
+            uint_at(j, table)
+            + field_sep
+            + uint_at(remote_port, table)
+            + field_sep
+            + uint_at(child.degree, table)
+            for j, (remote_port, child) in enumerate(view.children)
         )
-    result = concat_bits(triples)
+    )
     _B1_CACHE[id(view)] = result
     return result

@@ -689,6 +689,53 @@ class TestShardedServer:
             for thread in threads:
                 thread.join(5)
 
+    def test_dying_worker_answers_503_on_query_and_batch(self):
+        """A shard worker that dies mid-compute is one retryable failure,
+        so ``/v1/<task>`` and ``/v1/batch`` answer it alike: a JSON 503
+        with ``Retry-After``.  The respawned worker answers the next
+        query."""
+        from repro.graphs.canonical import graph_fingerprint
+
+        g = random_tree(12, seed=3)
+        graph = to_dict(g)
+        core = ServiceCore(ResultCache(capacity=0), shards=1)
+
+        def kill_worker():
+            shard = core.backend.shard_of(graph_fingerprint(g))
+            victim, _conn = core.backend._workers[shard]
+            victim.terminate()
+            victim.join(5)
+            assert not victim.is_alive()
+
+        def post_raw(url, path, payload):
+            request = urllib.request.Request(
+                url + path,
+                data=json.dumps(payload).encode("utf-8"),
+                headers={"Content-Type": "application/json"},
+            )
+            with pytest.raises(urllib.error.HTTPError) as failed:
+                urllib.request.urlopen(request, timeout=30)
+            exc = failed.value
+            return exc.code, exc.headers, json.load(exc)
+
+        try:
+            with serving(core) as url:
+                for path, payload in (
+                    ("/v1/elect", graph),
+                    ("/v1/batch", {"requests": [{"task": "elect", "graph": graph}]}),
+                ):
+                    kill_worker()
+                    code, headers, body = post_raw(url, path, payload)
+                    assert code == 503, (path, code, body)
+                    assert headers["Retry-After"] == "1"
+                    assert headers["Content-Type"] == "application/json"
+                    assert body["error"] == "ServiceError"
+                    assert "worker died" in body["detail"]
+                status, answer = post(url, "/v1/elect", graph)
+                assert status == 200 and answer["cached"] is False
+        finally:
+            core.close()
+
     @pytest.mark.parametrize("shards", [0, 1])
     def test_batch_failure_answers_what_a_query_answers(self, shards):
         """A failing batch raises the single query's error class and

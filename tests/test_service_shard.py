@@ -163,8 +163,10 @@ class TestWorkerFailure:
     def test_closed_pool_rejects_computes(self):
         pool = ShardPool(2)
         pool.close()
-        with pytest.raises(ServiceError, match="closed"):
+        with pytest.raises(ServiceError, match="closed") as closed:
             pool.compute("index", "ab" * 32, "{}")
+        # retryable, as a dying worker is: the HTTP edge answers 503
+        assert closed.value.http_status == 503
         pool.close()  # idempotent
 
 

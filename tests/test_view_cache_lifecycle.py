@@ -1,11 +1,12 @@
 """The view-cache lifecycle contract the engine relies on.
 
-Within a chunk, interning must be in full force (structurally equal views
-are one object, across graphs); at chunk boundaries,
+Within one corpus entry, interning must be in full force (structurally
+equal views are one object, across graphs); after every entry,
 ``clear_view_caches()`` must actually release every process-local table —
 the intern table, the truncation cache, the per-depth view registry, the
 order rank tables and the B^1 encoding cache — so a long sweep's memory
-is bounded by its largest chunk.
+is bounded by its largest entry, and no entry of a chunk pays to re-rank
+the views of the entries before it.
 """
 
 from __future__ import annotations
@@ -152,3 +153,25 @@ def test_engine_chunks_bound_the_intern_table():
     run_experiments(corpus[:1], task="elect", workers=1, clear_caches=False)
     assert intern_table_size() > 0
     clear_view_caches()
+
+
+def test_every_entry_of_a_chunk_starts_with_empty_caches(monkeypatch):
+    """The caches live one entry, not one chunk: inside a chunk of 8, a
+    task that looks at the intern table when it starts finds it empty
+    for every entry, so no entry pays for the views of the ones before."""
+    from repro.engine import tasks as tasks_mod
+    from repro.graphs import random_tree
+
+    seen = []
+
+    def probe(name, g):
+        seen.append(intern_table_size())
+        views_of_graph(g, 3)  # interns the entry's views
+        return {"name": name}
+
+    monkeypatch.setitem(tasks_mod.TASKS, "intern-probe", probe)
+    clear_view_caches()
+    corpus = [(f"tree-{k}", random_tree(12, seed=k)) for k in range(8)]
+    run_experiments(corpus, task="intern-probe", workers=1, chunk_size=8)
+    assert seen == [0] * 8
+    assert intern_table_size() == 0
