@@ -20,16 +20,20 @@ with per-node exhaustively on all small graphs.
 Two valid collapse partitions, exact and fast:
 
 :func:`node_orbits`
-    The true automorphism orbits, decided exactly by
-    :func:`repro.graphs.canonical.rooted_certificate` (equal rooted
-    certificates iff an automorphism maps one root to the other).  Same
-    orbit implies equal views at every depth, so orbits always *refine*
-    the stable view partition — the certificate split only needs to run
-    inside non-singleton refinement classes.  On feasible graphs the
-    stable partition is discrete, so every orbit is a free singleton
-    (Yamashita–Kameda: electable means all views distinct means rigid);
-    the worst case is a vertex-transitive graph, where every node's
-    certificate is computed — O(n * m), the price of full symmetry.
+    The true automorphism orbits, decided exactly by rooted encodings
+    (the BFS of :func:`repro.graphs.canonical.rooted_certificate`: equal
+    iff an automorphism maps one root to the other).  Same orbit implies
+    equal views at every depth, so orbits always *refine* the stable
+    view partition — the split only needs to run inside non-singleton
+    refinement classes.  On feasible graphs the stable partition is
+    discrete, so every orbit is a free singleton (Yamashita–Kameda:
+    electable means all views distinct means rigid).  Inside a class,
+    two equal encodings give an automorphism and a union-find joins its
+    cycles, so a member an automorphism already reached is never
+    encoded.  A class costs one O(m) encoding per orbit, plus two per
+    automorphism found, and at most log2(n) are found (each at least
+    doubles the group the earlier ones generate): a few encodings on a
+    vertex-transitive graph, where encoding every member cost O(n * m).
 
 :func:`behavior_classes`
     The stable view-refinement partition itself
@@ -53,11 +57,13 @@ there the collapsed engine does O(orbits/n) of the per-node work.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.coding.bitstring import Bits
 from repro.errors import AlgorithmError, SimulationError
-from repro.graphs.canonical import rooted_certificate
+from repro.graphs.canonical import _AutomorphismClasses, _rooted_encoding
+from repro.graphs.csr import csr_of
 from repro.graphs.port_graph import PortGraph
 from repro.obs import core as obs
 from repro.sim.com import ViewAccumulator
@@ -135,28 +141,43 @@ def node_orbits(
     Same orbit implies equal views at every depth, so the orbit
     partition refines the stable refinement partition: singleton
     refinement classes are singleton orbits for free, and only the
-    members of non-singleton classes need the
-    :func:`~repro.graphs.canonical.rooted_certificate` split (exact in
-    both directions — equal certificates iff an automorphism maps one
-    root to the other)."""
+    members of non-singleton classes are split, by rooted encodings
+    (equal iff an automorphism maps one root to the other).  A member
+    whose encoding equals that of an orbit's first encoded member gives
+    an automorphism, whose cycles a union-find joins; a member already
+    joined to an encoded node is skipped, and any other member starts a
+    new orbit."""
     if stable is None:
         stable = stable_partition(g)
-    sig = stable.signature
-    class_size: Dict[int, int] = {}
-    for c in sig:
-        class_size[c] = class_size.get(c, 0) + 1
-
-    def key_of(v: int):
-        c = sig[v]
-        if class_size[c] == 1:
-            # a singleton class is a singleton orbit; its node id is a
-            # key no other node can share
-            return v
-        # certificates are globally exact, but prefixing the class keeps
-        # the key's meaning local: orbits never cross classes
-        return (c, rooted_certificate(g, v))
-
-    return _group_by_key(g.n, key_of)
+    blocks: Dict[int, List[int]] = {}
+    for v, c in enumerate(stable.signature):
+        blocks.setdefault(c, []).append(v)
+    csr = csr_of(g)
+    classes = _AutomorphismClasses(g.n)
+    for members in blocks.values():
+        if len(members) == 1:
+            continue
+        # each orbit's first encoded member, by the hash of its encoding;
+        # a hash match is confirmed on the whole encoding, so a class
+        # holds O(1) per orbit, not an encoding
+        firsts: Dict[int, List[int]] = {}
+        for v in members:
+            if classes.seen(v):
+                continue
+            classes.see(v)
+            records, labels = _rooted_encoding(csr, v)
+            key = hash(tuple(chain.from_iterable(records)))
+            same_hash = firsts.setdefault(key, [])
+            for w in same_hash:
+                w_records, w_labels = _rooted_encoding(csr, w)
+                if w_records == records:
+                    classes.join(w_labels, labels)
+                    break
+            else:
+                same_hash.append(v)
+    # the union-find's classes are now exactly the orbits: each holds one
+    # orbit's first encoded member, or is a singleton refinement class
+    return _group_by_key(g.n, classes.find)
 
 
 def behavior_classes(

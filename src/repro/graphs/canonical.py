@@ -29,10 +29,47 @@ the encoding's lexicographic prefix is exactly the level-1 refinement key
 ``(degree(r), remote ports of r)`` — the static half that
 :mod:`repro.graphs.csr` folds into ``port_keys`` — so only nodes of the
 lexicographically minimal level-1 class can win, and every other class is
-skipped without running its BFS.  On feasible graphs the stable partition
-is discrete and the candidate class is typically tiny; the worst case is
-a vertex-transitive graph (every node is a candidate), costing
-``O(n * m)`` — the price any certificate scheme pays for full symmetry.
+skipped without running its BFS.
+
+The candidate class can still hold most nodes: about a quarter of a
+random tree's nodes are leaves sharing one level-1 key, and on a
+vertex-transitive graph every node is a candidate.  The min over the
+candidates is therefore searched with the two standard prunings of
+individualization-refinement (McKay & Piperno, "Practical graph
+isomorphism, II", J. Symb. Comp. 2014):
+
+* **Early exit.**  Expanding the k-th BFS node completes the k-th record
+  of the encoding: the node's degree, then ``(label(nbr), remote port)``
+  per local port.  Each record is compared, as it completes, with the
+  same record of the best encoding so far.  A larger record drops the
+  root at once; a smaller one makes it the new best, whose BFS then runs
+  to the end without comparing.  A record starts with its degree, which
+  fixes its length, so the first unequal record orders two encodings
+  exactly as the comparison of the flat lists (``n + 4m`` ints each)
+  does.
+* **Automorphism pruning.**  A root whose whole encoding ties the best
+  gives a port automorphism: the best root's k-th BFS node maps to this
+  root's k-th.  A union-find joins its cycles.  A candidate whose class
+  holds a root already tried, dropped or not, is skipped: its encoding
+  equals that root's, which was never below the best, so it cannot beat
+  the best.  Only ties add unions, and port automorphisms of a connected
+  port graph act freely (one node's image fixes the rest), so every class
+  lies inside one orbit.  A tied root was outside the best root's class,
+  so each automorphism found lies outside the group the earlier ones
+  generate and at least doubles it: a search has at most log2(n) ties.
+
+Neither changes a byte.  Candidates are tried in node order and a tie
+never replaces the best, so the winner is still the first candidate with
+the minimal encoding: it is never dropped, and never skipped, since a
+tried root in its class would be an earlier candidate with that same
+encoding.  ``tests/test_canonical_search.py`` keeps the unpruned search
+as the executable spec.  On random trees, tori, hypercubes and
+circulants the search expands a small multiple of n BFS nodes over all
+roots, where the unpruned one expanded n per candidate.  What stays
+super-linear is a large candidate class with no automorphism and long
+shared prefixes: the "twisted torus", a torus with two far-apart edges
+of the same port pair crossed, keeps every node's level-1 key and has no
+automorphism to prune with, so each root runs long before it differs.
 
 :func:`rooted_certificate` is the same encoding *without* the min over
 roots: it canonicalizes the pair ``(g, r)``, so
@@ -42,7 +79,9 @@ roots: it canonicalizes the pair ``(g, r)``, so
 
 — an exact O(m) replacement for the anchored VF2 search in the orbit
 check of :func:`repro.core.verify.leaders_equivalent` (parity with VF2 is
-locked in by ``tests/test_graphs_canonical.py``).
+locked in by ``tests/test_graphs_canonical.py``).  The same rooted
+encodings and union-find split a refinement class into its orbits in
+:func:`repro.core.orbit_elect.node_orbits`.
 
 Certificate bytes are the canonical JSON of the relabeled graph
 (:func:`repro.graphs.serialization.to_dict` layout), so a certificate is
@@ -57,7 +96,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import GraphError
 from repro.graphs.csr import csr_of
@@ -85,47 +124,89 @@ class CanonicalForm:
     to_canonical: Tuple[int, ...]
 
 
-def _bfs_labels(csr, root: int) -> List[int]:
-    """The port-deterministic BFS relabeling from ``root``: FIFO over
-    discovery order, neighbors expanded in local port order.  Returns
-    ``labels`` with ``labels[u]`` the new id of node ``u`` (root -> 0)."""
-    labels = [-1] * csr.n
-    labels[root] = 0
-    order = [root]
-    nbrs = csr.neighbor_tuples
-    next_label = 1
-    for u in order:  # `order` grows while iterating: the BFS queue
-        for v in nbrs[u]:
-            if labels[v] < 0:
-                labels[v] = next_label
-                next_label += 1
-                order.append(v)
-    if next_label != csr.n:
-        raise GraphError(
-            "canonical form requires a connected graph"
-        )  # pragma: no cover - PortGraph construction enforces connectivity
-    return labels
+def _bfs_records(csr, root: int, labels: List[int]) -> Iterator[List[int]]:
+    """The port-deterministic BFS from ``root``, one encoding record at a
+    time.
 
-
-def _encoding(csr, labels: List[int]) -> List[int]:
-    """Flatten the relabeled adjacency into one int list: for each new
-    label ``0..n-1`` in order, ``degree`` then ``(label(nbr), remote
-    port)`` per local port.  Lexicographic comparison of these lists is
-    the total order the canonical root minimizes; its prefix is
-    ``(degree(root), remote ports of root)`` because the root's neighbors
-    receive labels ``1..d`` in port order."""
-    by_label = [0] * csr.n
-    for u, lab in enumerate(labels):
-        by_label[lab] = u
+    FIFO over discovery order, neighbors expanded in local port order;
+    ``labels`` (all ``-1`` on entry) receives each node's new id as the
+    node is discovered, root -> 0.  Expanding the k-th node labels every
+    neighbor it names, so the k-th record is complete when it is yielded:
+    ``degree`` then ``(label(nbr), remote port)`` per local port.  The
+    records concatenated are the encoding the canonical root minimizes;
+    the first is ``(degree(root), remote ports of root)`` interleaved with
+    labels ``1..d``, since the root's neighbors are labeled in port order.
+    A consumer may stop early; one that reads to the end gets a complete
+    ``labels`` or a :class:`GraphError` for a disconnected graph."""
     nbrs = csr.neighbor_tuples
     rports = csr.remote_port_tuples
-    enc: List[int] = []
-    for u in by_label:
-        enc.append(csr.degrees[u])
+    degrees = csr.degrees
+    labels[root] = 0
+    order = [root]
+    next_label = 1
+    for u in order:  # `order` grows while iterating: the BFS queue
+        record = [degrees[u]]
         for v, q in zip(nbrs[u], rports[u]):
-            enc.append(labels[v])
-            enc.append(q)
-    return enc
+            label = labels[v]
+            if label < 0:
+                label = labels[v] = next_label
+                next_label += 1
+                order.append(v)
+            record.append(label)
+            record.append(q)
+        yield record
+    if next_label != csr.n:
+        raise GraphError("canonical form requires a connected graph")
+
+
+def _rooted_encoding(csr, root: int) -> Tuple[List[List[int]], List[int]]:
+    """The whole encoding from ``root`` as its records, with the BFS
+    relabeling that produced it."""
+    labels = [-1] * csr.n
+    records = list(_bfs_records(csr, root, labels))
+    return records, labels
+
+
+class _AutomorphismClasses:
+    """A union-find over the nodes whose classes are joined only along
+    port automorphisms, so every class lies inside one automorphism
+    orbit.  A class also remembers whether it holds a root already
+    encoded: every node of such a class has that root's rooted encoding,
+    so encoding it again can tell nothing new."""
+
+    __slots__ = ("_parent", "_seen")
+
+    def __init__(self, n: int):
+        self._parent = list(range(n))
+        self._seen = [False] * n
+
+    def find(self, x: int) -> int:
+        parent = self._parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]  # path halving
+            x = parent[x]
+        return x
+
+    def seen(self, x: int) -> bool:
+        return self._seen[self.find(x)]
+
+    def see(self, x: int) -> None:
+        self._seen[self.find(x)] = True
+
+    def join(self, labels_a: Sequence[int], labels_b: Sequence[int]) -> None:
+        """Join the cycles of the automorphism that two equal rooted
+        encodings give: node ``u`` with ``labels_a[u] == i`` maps to the
+        node with ``labels_b`` label ``i``.  Sound only for equal
+        encodings, where the two relabeled graphs coincide."""
+        order_a = [0] * len(labels_a)
+        for u, i in enumerate(labels_a):
+            order_a[i] = u
+        parent, seen = self._parent, self._seen
+        for v, i in enumerate(labels_b):
+            a, b = self.find(order_a[i]), self.find(v)
+            if a != b:
+                parent[b] = a
+                seen[a] = seen[a] or seen[b]
 
 
 def _certificate_bytes(g: PortGraph, labels: Sequence[int]) -> bytes:
@@ -154,7 +235,7 @@ def rooted_certificate(g: PortGraph, root: int) -> bytes:
     """
     if not (0 <= root < g.n):
         raise GraphError(f"root {root} must be in 0..{g.n - 1}")
-    return _certificate_bytes(g, _bfs_labels(csr_of(g), root))
+    return _certificate_bytes(g, _rooted_encoding(csr_of(g), root)[1])
 
 
 def canonical_form(g: PortGraph) -> CanonicalForm:
@@ -183,15 +264,26 @@ def _compute_canonical_form(g: PortGraph) -> CanonicalForm:
             candidates = [v]
         elif key == best_key:
             candidates.append(v)
-    best_enc: Optional[List[int]] = None
-    best_labels: Optional[List[int]] = None
-    for root in candidates:
-        labels = _bfs_labels(csr, root)
-        enc = _encoding(csr, labels)
-        if best_enc is None or enc < best_enc:
-            best_enc = enc
-            best_labels = labels
-    assert best_labels is not None  # n >= 1: there is always a candidate
+    # Early exit and automorphism pruning: see the module docstring.
+    classes = _AutomorphismClasses(csr.n)
+    classes.see(candidates[0])  # n >= 1: there is always a candidate
+    best, best_labels = _rooted_encoding(csr, candidates[0])
+    for root in candidates[1:]:
+        if classes.seen(root):
+            continue
+        classes.see(root)
+        labels = [-1] * csr.n
+        records = _bfs_records(csr, root, labels)
+        for k, record in enumerate(records):
+            if record != best[k]:
+                if record < best[k]:
+                    best = best[:k]
+                    best.append(record)
+                    best.extend(records)
+                    best_labels = labels
+                break
+        else:  # a tie: a port automorphism maps the best root to this one
+            classes.join(best_labels, labels)
     certificate = _certificate_bytes(g, best_labels)
     return CanonicalForm(
         certificate=certificate,
