@@ -38,9 +38,15 @@ import os
 import platform
 import sys
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
+
+if TYPE_CHECKING:  # annotations of warm_from_stores only
+    from typing import Iterable, Sequence
+
+    from repro.graphs.port_graph import PortGraph
+    from repro.service.cache import ResultCache
 
 BENCH_SCHEMA = "repro-bench/1"
 BASELINE_SCHEMA = "repro-bench-baseline/1"
@@ -763,6 +769,66 @@ def _scenario_service_load(quick: bool) -> List[Case]:
             core.close()
 
 
+def warm_from_stores(
+    cache: "ResultCache",
+    store_paths: Sequence[str],
+    corpus: Iterable[Tuple[str, "PortGraph"]],
+    tasks: Optional[Sequence[str]] = None,
+) -> Tuple[int, int]:
+    """Pre-populate ``cache`` from batch result stores by re-streaming
+    their corpus: the reference that the ``warehouse`` scenario below and
+    ``tests/test_warehouse.py`` check and time
+    :func:`~repro.service.cache.warm_from_warehouse`'s join against.
+
+    ``corpus`` supplies the ``(name, graph)`` entries the stores were
+    swept over (a corpus family stream, or a ``corpus emit`` file); only
+    names that appear in some store are fingerprinted, so re-opening a
+    large family to warm a small store stays cheap.
+
+    Returns ``(warmed, skipped)``: entries inserted, and store records
+    skipped (non-warmable task, sub-record of a group, or no graph with
+    that name in ``corpus``).  ``tasks`` defaults to
+    :data:`~repro.service.cache.WARMABLE_TASKS`.
+    """
+    from repro.engine.store import load_records
+    from repro.graphs.canonical import canonical_form
+    from repro.service.cache import WARMABLE_TASKS, canonicalize_record
+
+    wanted = set(WARMABLE_TASKS if tasks is None else tasks)
+    by_name: Dict[str, Dict[str, Any]] = {}
+    skipped = 0
+    for path in store_paths:
+        for record in load_records(path):
+            task = record.get("task")
+            name = record.get("name")
+            if (
+                task not in wanted
+                or not isinstance(name, str)
+                or record.get("entry", name) != name
+            ):
+                skipped += 1
+                continue
+            by_name.setdefault(name, {})[task] = record
+    warmed = 0
+    for name, graph in corpus:
+        records = by_name.pop(name, None)
+        if not records:
+            continue
+        form = canonical_form(graph)
+        for task, record in records.items():
+            cache.put(
+                (form.fingerprint, task),
+                canonicalize_record(
+                    record, task, form.to_canonical, form.fingerprint
+                ),
+            )
+            warmed += 1
+        if not by_name:
+            break  # every store record matched; stop paying the stream
+    skipped += sum(len(records) for records in by_name.values())
+    return warmed, skipped
+
+
 @register_scenario("warehouse")
 def _scenario_warehouse(quick: bool) -> List[Case]:
     """Service warm-up from past sweep output: the legacy corpus
@@ -779,11 +845,7 @@ def _scenario_warehouse(quick: bool) -> List[Case]:
     from repro.analysis.sweep import sweep_to_store
     from repro.corpus import get_family
     from repro.engine import open_result_store
-    from repro.service.cache import (
-        ResultCache,
-        warm_from_stores,
-        warm_from_warehouse,
-    )
+    from repro.service.cache import ResultCache, warm_from_warehouse
     from repro.warehouse import Warehouse, export_dataset
 
     count = 150 if quick else 1000

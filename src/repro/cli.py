@@ -35,16 +35,15 @@ Commands
 ``report [--out FILE] [--trend DB]``
     Regenerate the small-scale experiment report (markdown), or render
     the cross-run perf trajectory from a results warehouse.
-``serve [--port P] [--shards N] [--cache FILE] [--warm STORE --warm-corpus SPEC]``
+``serve [--port P] [--shards N] [--cache DB] [--warm-warehouse DB]``
     The online query service (:mod:`repro.service`): a JSON HTTP API
     answering elect/index/advice/quotient requests, deduplicated through
     the canonical-form result cache; ``--shards N`` fans cold computes
     across N fingerprint-routed worker processes (the cache stays
-    shared), ``--cache`` persists answers across restarts (JSONL, or a
-    warehouse database by extension), ``--warm`` pre-populates from
-    batch result stores, and ``--warm-warehouse`` does the same from a
-    results warehouse with one join query; ``--slow-query-ms MS`` turns
-    on the structured slow-query log (one JSON line per offending query).
+    shared), ``--cache`` persists answers across restarts in a results
+    warehouse, and ``--warm-warehouse`` pre-populates from a warehouse's
+    sweep results with one join query; ``--slow-query-ms MS`` turns on
+    the structured slow-query log (one JSON line per offending query).
 ``warehouse import|export|trend|register|info``
     The indexed sqlite results warehouse (:mod:`repro.warehouse`) under
     sweeps, conformance, the service cache and bench records; the JSONL/
@@ -575,28 +574,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from itertools import chain
-
     from repro.service import (
         ResultCache,
         ServiceCore,
         make_server,
         serve_until_shutdown,
-        warm_from_stores,
         warm_from_warehouse,
     )
 
-    if args.warm and not args.warm_corpus:
-        raise ReproError(
-            "--warm STORE needs --warm-corpus SPEC (the corpus the store "
-            "was swept over, e.g. a family spec or @emitted.jsonl) to "
-            "recover the graphs behind the store's entry names"
-        )
-    if args.warm_corpus and not args.warm:
-        raise ReproError(
-            "--warm-corpus has no effect without --warm STORE (the result "
-            "store holding the records to pre-populate from)"
-        )
     if args.shards < 0:
         raise ReproError(f"--shards must be >= 0, got {args.shards}")
     cache = ResultCache(path=args.cache, capacity=args.capacity)
@@ -612,13 +597,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if cache.persisted:
         print(f"cache: {cache.persisted} persisted entries loaded from "
               f"{args.cache}")
-    if args.warm:
-        streams = [open_corpus_stream(spec)[0] for spec in args.warm_corpus]
-        warmed, skipped = warm_from_stores(
-            cache, args.warm, chain.from_iterable(streams)
-        )
-        print(f"warm: {warmed} entries from {len(args.warm)} store(s)"
-              + (f" ({skipped} records skipped)" if skipped else ""))
     for db in args.warm_warehouse:
         warmed = warm_from_warehouse(cache, db)
         print(f"warm: {warmed} entries joined from warehouse {db}")
@@ -1047,30 +1025,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="listen port (0 picks a free one; the chosen port is printed)",
     )
     p.add_argument(
-        "--cache", default=None, metavar="FILE",
-        help="persist the result cache to this file: JSONL (reloaded — with "
-        "torn-tail repair — on restart), or a warehouse database by "
-        ".sqlite/.db extension (indexed rows, shared with batch sweeps)",
+        "--cache", default=None, metavar="DB",
+        help="persist the result cache to this results warehouse "
+        "(.sqlite/.db: indexed rows, shared with batch sweeps); a cache "
+        "JSONL file migrates with `repro warehouse import DB FILE "
+        "--dataset service-cache`",
     )
     p.add_argument(
         "--capacity", type=int, default=4096,
         help="in-memory LRU entries (the persistence tier is unbounded)",
     )
     p.add_argument(
-        "--warm", action="append", default=[], metavar="STORE",
-        help="pre-populate from this sweep/conformance result store "
-        "(repeatable; needs --warm-corpus for the graphs)",
-    )
-    p.add_argument(
-        "--warm-corpus", action="append", default=[], metavar="SPEC",
-        help="corpus the warm stores were swept over: a family spec "
-        "(circulants:200,seed=3) or @emitted.jsonl (repeatable)",
-    )
-    p.add_argument(
         "--warm-warehouse", action="append", default=[], metavar="DB",
         help="pre-populate from a results warehouse with one join query — "
         "no corpus needed, the warehouse stored each entry's content "
-        "address at sweep time (repeatable)",
+        "address at sweep time (repeatable; a JSONL sweep store migrates "
+        "with `repro warehouse import` then `repro warehouse register`)",
     )
     p.add_argument(
         "--shards", type=int, default=0, metavar="N",

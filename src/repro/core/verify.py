@@ -90,16 +90,24 @@ def leaders_equivalent(g: PortGraph, leader_a: int, leader_b: int) -> bool:
     """
     if leader_a == leader_b:
         return True
-    # An automorphism mapping a to b exists iff the rooted canonical
-    # certificates of (g, a) and (g, b) coincide — individualizing the
-    # root makes the port-deterministic relabeling discrete, so the O(m)
-    # certificate comparison decides exactly what the anchored VF2 search
-    # (:func:`repro.graphs.isomorphism.port_automorphism_maps`) decides;
-    # unequal certificates short-circuit to False without any search.
-    # Parity with VF2 is pinned by ``tests/test_graphs_canonical.py``.
-    from repro.graphs.canonical import rooted_certificate
+    # An automorphism mapping a to b exists iff the rooted BFS encodings
+    # from a and from b coincide — individualizing the root makes the
+    # port-deterministic relabeling discrete, so the O(m) comparison
+    # decides exactly what the anchored VF2 search
+    # (:func:`repro.graphs.isomorphism.port_automorphism_maps`) decides.
+    # The records are the relabeled graph, so they decide what
+    # ``rooted_certificate`` bytes decide without sorting and encoding
+    # the edges.  Parity with VF2: ``tests/test_graphs_canonical.py``.
+    from repro.graphs.canonical import _rooted_encoding
+    from repro.graphs.csr import csr_of
 
-    return rooted_certificate(g, leader_a) == rooted_certificate(g, leader_b)
+    for leader in (leader_a, leader_b):
+        if not (0 <= leader < g.n):
+            raise GraphError(f"leader {leader} must be in 0..{g.n - 1}")
+    csr = csr_of(g)
+    records_a, _labels = _rooted_encoding(csr, leader_a)
+    records_b, _labels = _rooted_encoding(csr, leader_b)
+    return records_a == records_b
 
 
 def outcomes_equivalent(

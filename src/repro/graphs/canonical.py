@@ -77,10 +77,11 @@ roots: it canonicalizes the pair ``(g, r)``, so
     ``rooted_certificate(g, a) == rooted_certificate(g, b)``
     iff some port-preserving automorphism of ``g`` maps ``a`` to ``b``
 
-— an exact O(m) replacement for the anchored VF2 search in the orbit
-check of :func:`repro.core.verify.leaders_equivalent` (parity with VF2 is
-locked in by ``tests/test_graphs_canonical.py``).  The same rooted
-encodings and union-find split a refinement class into its orbits in
+— an exact O(m) replacement for the anchored VF2 search (parity with
+VF2 is locked in by ``tests/test_graphs_canonical.py``).  The orbit
+check of :func:`repro.core.verify.leaders_equivalent` compares the
+rooted encodings themselves, and the same encodings and union-find split
+a refinement class into its orbits in
 :func:`repro.core.orbit_elect.node_orbits`.
 
 Certificate bytes are the canonical JSON of the relabeled graph

@@ -37,11 +37,17 @@ def from_dict(data: Dict[str, Any], require_connected: bool = True) -> PortGraph
     except (KeyError, TypeError, ValueError) as exc:
         raise CodingError(f"malformed port-graph dict: {exc}") from exc
     b = PortGraphBuilder(n)
-    for entry in edges:
-        if len(entry) != 4:
-            raise CodingError(f"edge entry must have 4 fields, got {entry!r}")
-        u, p, v, q = (int(x) for x in entry)
-        b.add_edge(u, p, v, q)
+    try:
+        for entry in edges:
+            if len(entry) != 4:
+                raise CodingError(
+                    f"edge entry must have 4 fields, got {entry!r}"
+                )
+            u, p, v, q = (int(x) for x in entry)
+            b.add_edge(u, p, v, q)
+    except (TypeError, ValueError) as exc:
+        # "edges": 5, an entry 7, a field null or "a"
+        raise CodingError(f"malformed port-graph edges: {exc}") from exc
     return b.build(require_connected=require_connected)
 
 

@@ -8,14 +8,11 @@ package is the online front-end that amortizes those computations across
 clients and across past batch work:
 
 * :mod:`repro.service.cache` — the content-addressed result cache:
-  ``(fingerprint, task)`` keys over a bounded in-memory LRU plus a
-  durable tier — an append-only JSONL file (torn-tail repair on reopen)
-  or a :mod:`repro.warehouse` database (indexed rows, shared with the
-  batch pipelines).  :func:`~repro.service.cache.warm_from_stores`
-  joins existing sweep / conformance result stores against their corpus
-  streams so past batch output pre-populates the service;
-  :func:`~repro.service.cache.warm_from_warehouse` does the same from a
-  warehouse with one join query, no corpus re-stream;
+  ``(fingerprint, task)`` keys over a bounded in-memory LRU plus an
+  optional durable tier, a :mod:`repro.warehouse` database (indexed
+  rows, shared with the batch pipelines).
+  :func:`~repro.service.cache.warm_from_warehouse` pre-populates it from
+  past sweeps with one join query, no corpus re-stream;
 * :mod:`repro.service.api` — :class:`~repro.service.api.ServiceCore`,
   the transport-free pipeline (validate -> fingerprint -> cache lookup
   -> compute on the core's backend -> record), answering in canonical
@@ -47,7 +44,6 @@ from repro.service.cache import (
     WARMABLE_TASKS,
     ResultCache,
     canonical_query_name,
-    warm_from_stores,
     warm_from_warehouse,
 )
 from repro.service.server import (
@@ -65,7 +61,6 @@ __all__ = [
     "ServiceCore",
     "ResultCache",
     "canonical_query_name",
-    "warm_from_stores",
     "warm_from_warehouse",
     "ServiceHTTPServer",
     "make_server",

@@ -35,8 +35,8 @@ Compute backends
     :class:`~repro.service.shard.ShardPool` of worker processes routed
     by fingerprint — each worker owns its own view-cache universe, so
     computes on different shards run truly in parallel while the parent
-    keeps the one shared result cache (LRU + warehouse / JSONL warm
-    tier).  ``shards=0`` (the default) computes in this process on a
+    keeps the one shared result cache (LRU + warehouse warm tier).
+    ``shards=0`` (the default) computes in this process on a
     :class:`~repro.service.shard.LocalBackend`.  Both run
     :func:`~repro.service.shard.compute_record`, so records and
     responses are byte-identical either way.
@@ -206,17 +206,15 @@ class ServiceCore:
     # metrics
     # ------------------------------------------------------------------
     def _task_stats(self, task: str) -> Dict[str, float]:
-        # hits = memory_hits + warehouse_hits + file_hits +
-        # inflight_hits (which tier answered: a cache tier, or a
-        # concurrent compute the caller joined); misses are cold
-        # computes this caller led
+        # hits = memory_hits + warehouse_hits + inflight_hits (which
+        # tier answered: a cache tier, or a concurrent compute the
+        # caller joined); misses are cold computes this caller led
         return self._stats.setdefault(
             task,
             {
                 "hits": 0,
                 "memory_hits": 0,
                 "warehouse_hits": 0,
-                "file_hits": 0,
                 "inflight_hits": 0,
                 "misses": 0,
                 "errors": 0,
@@ -280,9 +278,8 @@ class ServiceCore:
         """Hit/miss/error/latency counters, total and per task, plus the
         cache tier sizes — the ``GET /metrics`` body.  ``hits`` split by
         answering tier: ``memory_hits`` (the LRU), ``warehouse_hits``
-        (one indexed row read), ``file_hits`` (one JSONL offset read),
-        ``inflight_hits`` (joined a concurrent compute of the same key);
-        ``misses`` are cold computes."""
+        (one indexed row read), ``inflight_hits`` (joined a concurrent
+        compute of the same key); ``misses`` are cold computes."""
         with self._lock:
             tasks = {name: dict(stats) for name, stats in self._stats.items()}
             cache = {
@@ -292,8 +289,8 @@ class ServiceCore:
                 "path": self.cache.path,
             }
         counter_keys = (
-            "hits", "memory_hits", "warehouse_hits", "file_hits",
-            "inflight_hits", "misses", "errors",
+            "hits", "memory_hits", "warehouse_hits", "inflight_hits",
+            "misses", "errors",
         )
         totals = {
             key: sum(stats[key] for stats in tasks.values())

@@ -9,52 +9,29 @@ Keys
 
 Tiers
     A bounded in-memory LRU (the hot tier the request path touches) over
-    an optional durable tier.  The durable tier has two backends,
-    selected by the path's extension:
-
-    * a **warehouse database** (``.sqlite``/``.db``/...; see
-      :mod:`repro.warehouse`): entries are rows of the shared ``records``
-      table, unique and indexed on ``(fingerprint, task)``, so an LRU
-      eviction re-reads one indexed row — and the same warehouse is the
-      *shared warm tier*: sweeps writing to it make their results
-      join-warmable without any corpus re-stream
-      (:func:`warm_from_warehouse`);
-    * an **append-only JSONL file** (anything else), kept as the
-      import/export wire format.  It reuses the
-      :mod:`repro.engine.store` discipline: one canonical JSON line per
-      entry, flushed per append, and on reopen a *torn final line* (a
-      kill mid-write) is repaired by truncation while corruption
-      followed by further lines raises :class:`ServiceError` — interior
-      entries are never dropped silently.  The file is never evicted
-      from, and the load replays it streaming (O(line) memory) while
-      recording a ``key -> byte offset`` index.
-
-    Either way, a lookup that misses the LRU falls back to the durable
-    tier and promotes the entry, so a restart with ``--cache`` serves
-    **every** previously computed answer no matter how small the memory
-    tier — an LRU eviction only ever costs one indexed read, never a
+    an optional **warehouse database** (see :mod:`repro.warehouse`), the
+    one durable tier: entries are rows of the shared ``records`` table,
+    unique and indexed on ``(fingerprint, task)``, so a lookup that
+    misses the LRU re-reads one indexed row and promotes the entry — a
+    restart with ``--cache`` serves **every** previously computed answer
+    no matter how small the memory tier, and an eviction never costs a
     recompute.  :meth:`ResultCache.lookup` reports which tier answered,
-    which is what the service's ``/metrics`` memory-hit /
-    warehouse-hit / cold-compute counters are built on.
+    which is what the service's ``/metrics`` memory-hit / warehouse-hit
+    / cold-compute counters are built on.  A cache JSONL file is only
+    the warehouse's import/export format (``repro warehouse import``).
 
 Warming
-    :func:`warm_from_stores` joins existing sweep/conformance
-    :class:`~repro.engine.store.ResultStore` files (keyed by corpus entry
-    *name*) against corpus streams that supply the graphs for those
-    names, fingerprints each graph, and inserts the records under their
-    content address — so past batch work pre-populates the service.
-    :func:`warm_from_warehouse` is the indexed successor: when sweeps
-    ran on the warehouse backend their graphs' content addresses are
-    already stored, so warming is one join query — no corpus re-stream,
-    no certificate recomputation.
-    Stored records were computed on the corpus labeling; the service
-    computes on the *canonical* labeling, so warming canonicalizes each
-    record: the ``name`` becomes the canonical query name and, for
-    ``elect``, the ``leader`` is translated through the canonical
-    relabeling (every other warmable field is a label invariant, since
-    the algorithms are anonymous).  A warmed entry is therefore
-    byte-identical to what a cold service computation would produce —
-    asserted in ``tests/test_service_cache.py``.
+    :func:`warm_from_warehouse` is one join query over the content
+    addresses that warehouse-backed sweeps stored as they ran: no corpus
+    re-stream, no certificate recomputation.  Stored records were
+    computed on the corpus labeling; the service computes on the
+    *canonical* labeling, so warming canonicalizes each record: the
+    ``name`` becomes the canonical query name and, for ``elect``, the
+    ``leader`` is translated through the canonical relabeling (every
+    other warmable field is a label invariant, since the algorithms are
+    anonymous).  A warmed entry is therefore byte-identical to what a
+    cold service computation would produce — asserted in
+    ``tests/test_service_cache.py`` and ``tests/test_warehouse.py``.
 """
 
 from __future__ import annotations
@@ -62,13 +39,10 @@ from __future__ import annotations
 import json
 import os
 from collections import OrderedDict
-from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 from repro.engine.records import Record, record_to_json
-from repro.engine.store import load_records
 from repro.errors import ServiceError
-from repro.graphs.canonical import canonical_form
-from repro.graphs.port_graph import PortGraph
 
 #: A cache entry's identity: (canonical fingerprint, engine task name).
 CacheKey = Tuple[str, str]
@@ -94,104 +68,47 @@ def canonical_query_name(fingerprint: str) -> str:
 
 
 class ResultCache:
-    """Bounded LRU over an optional durable tier (warehouse or JSONL).
+    """Bounded LRU over an optional warehouse tier.
 
     ``capacity`` bounds the *memory* tier only (0 disables it — every
-    lookup misses, which is what the cold benches use); the durable tier
-    keeps every entry ever inserted.  A warehouse-extension ``path``
-    selects the indexed sqlite backend (entries in ``dataset``), any
-    other path the append-only JSONL file.  Use as a context manager, or
-    ``close()`` explicitly when persistent.
+    lookup misses, which is what the cold benches use); the warehouse
+    keeps every entry ever inserted.  A ``path`` without a warehouse
+    extension is refused before it is opened, naming the migration of a
+    cache JSONL file.  Use as a context manager, or ``close()``
+    explicitly when persistent.
     """
 
     def __init__(
-        self,
-        path: Optional[str] = None,
-        capacity: int = DEFAULT_CAPACITY,
-        dataset: str = SERVICE_CACHE_DATASET,
+        self, path: Optional[str] = None, capacity: int = DEFAULT_CAPACITY
     ):
         if capacity < 0:
             raise ServiceError(f"capacity must be >= 0, got {capacity}")
         self.path = path
         self.capacity = capacity
-        self.dataset = dataset
         self._entries: "OrderedDict[CacheKey, Record]" = OrderedDict()
-        #: JSONL durable tier index: key -> byte offset of its line
-        self._offsets: Dict[CacheKey, int] = {}
-        self._fh = None
-        self._read_fh = None
-        self._append_end = 0  # byte offset of the next appended line
         self._warehouse = None
         self._run_id = None
-        self._closed_persisted = None
+        self._closed_persisted = 0
         if path is None:
             return
         # deferred import: repro.warehouse's io module imports this one
         from repro.warehouse.db import Warehouse, is_warehouse_path
 
-        if is_warehouse_path(path):
-            self._warehouse = Warehouse(path)
-            self._run_id = self._warehouse.begin_run("service", dataset)
-            for line in self._warehouse.recent_cache_entries(
-                dataset, capacity
-            ):
-                key, record = self._entry_key(json.loads(line))
-                self._remember(key, record)
-        else:
-            self._load_and_repair(path)
-            # newline="" disables os.linesep translation: the offset
-            # index counts "\n" as one byte, so the bytes on disk must
-            # match what len(line.encode()) accounted for on any OS
-            self._fh = open(path, "a", encoding="utf-8", newline="")
-            self._read_fh = open(path, "rb")
-            self._append_end = os.path.getsize(path)
-
-    # ------------------------------------------------------------------
-    # persistence tier
-    # ------------------------------------------------------------------
-    def _load_and_repair(self, path: str) -> None:
-        """Replay the JSONL file streaming — one line in memory at a
-        time — into the LRU (oldest first, so eviction keeps the most
-        recent entries) and the offset index; truncate a torn final
-        line (a kill mid-write)."""
-        if not os.path.exists(path):
-            return
-        valid_end = 0
-        with open(path, "rb") as fh:
-            lineno = 0
-            for line in fh:
-                lineno += 1
-                if not line.endswith(b"\n"):
-                    break  # torn tail: no terminator, nothing follows
-                try:
-                    entry = json.loads(line.decode("utf-8"))
-                    key, record = self._entry_key(entry)
-                except (UnicodeDecodeError, ValueError, ServiceError):
-                    # repairable only if nothing but blank space follows
-                    if any(rest.strip() for rest in fh):
-                        raise ServiceError(
-                            f"cache file '{path}' is corrupt at line "
-                            f"{lineno}: an unparsable entry is followed by "
-                            f"further entries (only a torn final line is "
-                            f"repairable)"
-                        ) from None
-                    break
-                self._offsets[key] = valid_end
-                valid_end += len(line)
-                self._remember(key, record)
-        if valid_end != os.path.getsize(path):
-            with open(path, "r+b") as fh:
-                fh.truncate(valid_end)
-
-    def _read_persisted(self, key: CacheKey) -> Record:
-        """Re-read one entry's line from its recorded byte offset (the
-        disk-tier fallback behind an LRU eviction)."""
-        self._fh.flush()
-        self._read_fh.seek(self._offsets[key])
-        _key, record = self._entry_key(
-            json.loads(self._read_fh.readline().decode("utf-8"))
+        if not is_warehouse_path(path):
+            raise ServiceError(
+                f"cache path '{path}' is not a warehouse database (.sqlite, "
+                f".db); migrate a cache JSONL file with `repro warehouse "
+                f"import DB {path} --dataset {SERVICE_CACHE_DATASET}`"
+            )
+        self._warehouse = Warehouse(path)
+        self._run_id = self._warehouse.begin_run(
+            "service", SERVICE_CACHE_DATASET
         )
-        return record
+        for line in self._warehouse.recent_cache_entries(
+            SERVICE_CACHE_DATASET, capacity
+        ):
+            key, record = self._entry_key(json.loads(line))
+            self._remember(key, record)
 
     @staticmethod
     def _entry_key(entry: Any) -> Tuple[CacheKey, Record]:
@@ -225,26 +142,21 @@ class ResultCache:
 
     def lookup(self, key: CacheKey) -> Tuple[Optional[Record], Optional[str]]:
         """The cached record and the tier that answered: ``"memory"``,
-        ``"warehouse"`` (one indexed row read), ``"file"`` (one
-        line-sized read at the JSONL offset index), or ``(None, None)``.
-        A memory hit refreshes LRU recency; a durable-tier hit promotes
-        the entry back into the LRU — an eviction never costs a
-        recompute.  The tier is what the service's ``/metrics``
-        memory-hit / warehouse-hit counters report."""
+        ``"warehouse"`` (one indexed row read), or ``(None, None)``.  A
+        memory hit refreshes LRU recency; a warehouse hit promotes the
+        entry back into the LRU — an eviction never costs a recompute.
+        The tier is what the service's ``/metrics`` memory-hit /
+        warehouse-hit counters report."""
         record = self._entries.get(key)
         if record is not None:
             self._entries.move_to_end(key)
             return record, "memory"
         if self._warehouse is not None:
-            line = self._warehouse.get_cache_entry(self.dataset, *key)
+            line = self._warehouse.get_cache_entry(SERVICE_CACHE_DATASET, *key)
             if line is not None:
                 _key, record = self._entry_key(json.loads(line))
                 self._remember(key, record)
                 return record, "warehouse"
-        elif self._read_fh is not None and key in self._offsets:
-            record = self._read_persisted(key)
-            self._remember(key, record)
-            return record, "file"
         return None, None
 
     def get(self, key: CacheKey) -> Optional[Record]:
@@ -252,15 +164,15 @@ class ResultCache:
         return self.lookup(key)[0]
 
     def put(self, key: CacheKey, record: Record) -> None:
-        """Insert (idempotently): the memory tier refreshes; the durable
-        tier gains one canonical envelope per *new* key — an appended,
-        flushed JSONL line, or a committed warehouse row (the
-        ``(fingerprint, task)`` unique index makes re-puts no-ops)."""
+        """Insert (idempotently): the memory tier refreshes; the
+        warehouse gains one committed canonical envelope row per *new*
+        key (the ``(fingerprint, task)`` unique index makes re-puts
+        no-ops)."""
         self._remember(key, record)
-        fingerprint, task = key
         if self._warehouse is not None:
+            fingerprint, task = key
             self._warehouse.put_cache_entry(
-                self.dataset,
+                SERVICE_CACHE_DATASET,
                 fingerprint,
                 task,
                 str(record.get("name", canonical_query_name(fingerprint))),
@@ -270,22 +182,13 @@ class ResultCache:
                 ),
                 run_id=self._run_id,
             )
-        elif self._fh is not None and key not in self._offsets:
-            line = record_to_json(
-                {"fingerprint": fingerprint, "task": task, "record": record}
-            ) + "\n"
-            offset = self._append_end
-            self._fh.write(line)
-            self._fh.flush()
-            self._append_end = offset + len(line.encode("utf-8"))
-            self._offsets[key] = offset
 
     def __contains__(self, key: CacheKey) -> bool:
-        if key in self._entries or key in self._offsets:
+        if key in self._entries:
             return True
         return (
             self._warehouse is not None
-            and self._warehouse.get_cache_entry(self.dataset, *key)
+            and self._warehouse.get_cache_entry(SERVICE_CACHE_DATASET, *key)
             is not None
         )
 
@@ -295,25 +198,17 @@ class ResultCache:
 
     @property
     def persisted(self) -> int:
-        """Entries in the durable tier (0 when memory-only)."""
+        """Entries in the warehouse tier (0 when memory-only)."""
         if self._warehouse is not None:
-            return self._warehouse.cache_size(self.dataset)
-        if self._closed_persisted is not None:
-            return self._closed_persisted
-        return len(self._offsets)
+            return self._warehouse.cache_size(SERVICE_CACHE_DATASET)
+        return self._closed_persisted
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-        if self._read_fh is not None:
-            self._read_fh.close()
-            self._read_fh = None
         if self._warehouse is not None:
             # keep the count readable after close ("N entries persisted"
             # is printed on service shutdown, after the cache is closed)
             self._closed_persisted = self._warehouse.cache_size(
-                self.dataset
+                SERVICE_CACHE_DATASET
             )
             self._warehouse.finish_run(self._run_id)
             self._warehouse.close()
@@ -327,74 +222,21 @@ class ResultCache:
 
 
 # ----------------------------------------------------------------------
-# warming from batch stores
+# warming from the warehouse
 # ----------------------------------------------------------------------
 def canonicalize_record(
     record: Record, task: str, to_canonical: Sequence[int], fingerprint: str
 ) -> Record:
-    """Rewrite a store record into the exact record a service compute on
-    the canonical graph would produce: canonical ``name``, and the one
-    label-dependent field (``elect``'s leader) mapped through
-    ``to_canonical`` — the store graph's canonical relabeling, whether
-    freshly computed (:func:`warm_from_stores`) or read back from the
-    warehouse's ``graphs`` table (:func:`warm_from_warehouse`)."""
+    """Rewrite a stored result record into the exact record a service
+    compute on the canonical graph would produce: canonical ``name``, and
+    the one label-dependent field (``elect``'s leader) mapped through
+    ``to_canonical`` — the stored graph's canonical relabeling, as read
+    back from the warehouse's ``graphs`` table."""
     out = dict(record)
     out["name"] = canonical_query_name(fingerprint)
     if task == "elect" and isinstance(out.get("leader"), int):
         out["leader"] = to_canonical[out["leader"]]
     return out
-
-
-def warm_from_stores(
-    cache: ResultCache,
-    store_paths: Sequence[str],
-    corpus: Iterable[Tuple[str, PortGraph]],
-    tasks: Sequence[str] = WARMABLE_TASKS,
-) -> Tuple[int, int]:
-    """Pre-populate ``cache`` from batch result stores.
-
-    ``corpus`` supplies the ``(name, graph)`` entries the stores were
-    swept over (a corpus family stream, or a ``corpus emit`` file); only
-    names that appear in some store are fingerprinted, so re-opening a
-    large family to warm a small store stays cheap.
-
-    Returns ``(warmed, skipped)``: entries inserted, and store records
-    skipped (non-warmable task, sub-record of a group, or no graph with
-    that name in ``corpus``).
-    """
-    wanted = set(tasks)
-    by_name: Dict[str, Dict[str, Record]] = {}
-    skipped = 0
-    for path in store_paths:
-        for record in load_records(path):
-            task = record.get("task")
-            name = record.get("name")
-            if (
-                task not in wanted
-                or not isinstance(name, str)
-                or record.get("entry", name) != name
-            ):
-                skipped += 1
-                continue
-            by_name.setdefault(name, {})[task] = record
-    warmed = 0
-    for name, graph in corpus:
-        records = by_name.pop(name, None)
-        if not records:
-            continue
-        form = canonical_form(graph)
-        for task, record in records.items():
-            cache.put(
-                (form.fingerprint, task),
-                canonicalize_record(
-                    record, task, form.to_canonical, form.fingerprint
-                ),
-            )
-            warmed += 1
-        if not by_name:
-            break  # every store record matched; stop paying the stream
-    skipped += sum(len(records) for records in by_name.values())
-    return warmed, skipped
 
 
 def warm_from_warehouse(
@@ -404,21 +246,25 @@ def warm_from_warehouse(
 ) -> int:
     """Pre-populate ``cache`` from a warehouse's result datasets: one
     join query over the ``records`` and ``graphs`` tables
-    (:meth:`~repro.warehouse.db.Warehouse.warm_join`) instead of
-    :func:`warm_from_stores`'s corpus re-stream — no graph is generated
-    and no canonical certificate recomputed, because warehouse-backed
-    sweeps stored each entry's content address as they ran.
+    (:meth:`~repro.warehouse.db.Warehouse.warm_join`) — no graph is
+    generated and no canonical certificate recomputed, because
+    warehouse-backed sweeps stored each entry's content address as they
+    ran.
 
     ``warehouse`` is an open :class:`~repro.warehouse.db.Warehouse` or a
-    path to one; it may be the same database backing ``cache`` (the
-    shared warm tier) or a different one.  Returns the number of entries
-    inserted.  Entries whose corpus graph was never registered are
-    simply absent from the join — register them once with
-    :func:`repro.warehouse.io.register_corpus_graphs`.
+    path to an existing one (a missing path raises
+    :class:`ServiceError` and creates nothing); it may be the same
+    database backing ``cache`` (the shared warm tier) or a different one.
+    Returns the number of entries inserted.  Entries whose corpus graph
+    was never registered are simply absent from the join — register them
+    once with :func:`repro.warehouse.io.register_corpus_graphs` (``repro
+    warehouse register``).
     """
     from repro.warehouse.db import Warehouse
 
     owned = not isinstance(warehouse, Warehouse)
+    if owned and not os.path.exists(warehouse):
+        raise ServiceError(f"no warehouse to warm from at '{warehouse}'")
     wh = Warehouse(warehouse) if owned else warehouse
     try:
         warmed = 0

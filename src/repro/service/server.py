@@ -360,8 +360,8 @@ def serve_until_shutdown(
 ) -> None:
     """Run the accept loop until ``server.shutdown()`` (another thread)
     or, with ``install_signal_handlers``, SIGTERM/SIGINT.  On exit the
-    socket is closed and the core's cache flushed shut — the clean
-    shutdown that makes the persisted JSONL complete.
+    socket is closed and the core's cache closed — the clean shutdown
+    that finishes the cache's warehouse run row.
 
     Signal handlers can only be installed from the main thread; off it
     the flag is ignored (the tests run the CLI loop in a worker thread

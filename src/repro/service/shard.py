@@ -24,8 +24,8 @@ ceiling by construction instead of by finer locking:
   :func:`compute_record` on it, and ship the record dict back.
 
 The result cache is *not* sharded: the parent keeps the single
-:class:`~repro.service.cache.ResultCache` (LRU + the warehouse / JSONL
-durable tier) and looks it up before dispatching, so every shard
+:class:`~repro.service.cache.ResultCache` (LRU + the warehouse durable
+tier) and looks it up before dispatching, so every shard
 reads through the one shared warm tier and every computed record lands
 back in it.  Workers are pure compute: no cache, no sockets, no state
 that outlives a request.

@@ -30,9 +30,9 @@ byte-identity invariant (resume parity, warm-equals-cold service
 answers, golden regressions) holds on this backend too — re-proven in
 ``tests/test_warehouse.py``.
 
-CLI: ``repro warehouse import|export|trend|info``; ``repro sweep`` /
-``repro conformance`` ``--out`` and ``repro serve --cache`` accept a
-warehouse path (by extension) directly.
+CLI: ``repro warehouse import|export|trend|register|info``; ``repro
+sweep`` / ``repro conformance`` ``--out`` accept a warehouse path (by
+extension) directly, and ``repro serve --cache`` takes nothing else.
 """
 
 from repro.warehouse.db import (

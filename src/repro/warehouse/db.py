@@ -66,7 +66,7 @@ from repro.errors import StoreError
 SCHEMA_VERSION = "repro-warehouse/1"
 
 #: File extensions recognized as warehouse databases (everything else is
-#: treated as JSONL by the store/cache factories).
+#: a JSONL store to the store factory, and refused by the service cache).
 WAREHOUSE_EXTENSIONS = (".sqlite", ".sqlite3", ".db", ".warehouse")
 
 #: Row shapes in the ``records`` table.
@@ -153,16 +153,21 @@ class Warehouse:
 
     def __init__(self, path: str):
         self.path = path
+        self._conn = None
         # isolation_level=None: no implicit transactions — every write
         # below is wrapped in an explicit BEGIN IMMEDIATE ... COMMIT so
         # group atomicity is visible in the code, not in driver defaults
-        self._conn = sqlite3.connect(
-            path, isolation_level=None, check_same_thread=False
-        )
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._conn.execute("PRAGMA busy_timeout=30000")
-        self._init_schema()
+        try:
+            self._conn = sqlite3.connect(
+                path, isolation_level=None, check_same_thread=False
+            )
+            self._conn.execute("PRAGMA journal_mode=WAL")
+            self._conn.execute("PRAGMA synchronous=NORMAL")
+            self._conn.execute("PRAGMA busy_timeout=30000")
+            self._init_schema()
+        except sqlite3.DatabaseError as exc:  # e.g. a JSONL file
+            self.close()
+            raise StoreError(f"warehouse '{path}': {exc}") from None
 
     def _init_schema(self) -> None:
         # executescript() autocommits (it would end any open explicit

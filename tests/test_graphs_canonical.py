@@ -175,20 +175,24 @@ class TestRootedCertificate:
         ids=["torus", "ring", "clique", "gadget"],
     )
     def test_orbit_parity_with_anchored_vf2(self, g):
+        from repro.core.verify import leaders_equivalent
+
         certs = [rooted_certificate(g, v) for v in g.nodes()]
         for a in g.nodes():
             for b in g.nodes():
-                assert (certs[a] == certs[b]) == port_automorphism_maps(
-                    g, a, b
-                )
+                maps = port_automorphism_maps(g, a, b)
+                assert (certs[a] == certs[b]) == maps
+                assert leaders_equivalent(g, a, b) == maps
 
     def test_orbit_parity_exhaustive_small(self):
+        from repro.core.verify import leaders_equivalent
+
         for g in SMALL[::5]:
             certs = [rooted_certificate(g, v) for v in g.nodes()]
             for a, b in itertools.combinations(g.nodes(), 2):
-                assert (certs[a] == certs[b]) == port_automorphism_maps(
-                    g, a, b
-                )
+                maps = port_automorphism_maps(g, a, b)
+                assert (certs[a] == certs[b]) == maps
+                assert leaders_equivalent(g, a, b) == maps
 
     def test_leaders_equivalent_uses_orbits(self):
         from repro.core.verify import leaders_equivalent
@@ -200,8 +204,13 @@ class TestRootedCertificate:
         assert not leaders_equivalent(h, 0, 1)
 
     def test_root_range_checked(self):
+        from repro.core.verify import leaders_equivalent
+
         with pytest.raises(GraphError):
             rooted_certificate(ring(5), 5)
+        for bad in (5, -1):
+            with pytest.raises(GraphError):
+                leaders_equivalent(ring(5), 0, bad)
 
 
 class TestOrbitPartition:

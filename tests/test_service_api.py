@@ -351,7 +351,14 @@ class TestGraphPayload:
 
     @pytest.mark.parametrize(
         "payload",
-        [None, 17, [], {"edges": "nope"}, {"n": 3}, {"graph": None}],
+        [
+            None, 17, [], {"edges": "nope"}, {"n": 3}, {"graph": None},
+            # malformed edge fields: TypeError/ValueError under the parse
+            {"n": 2, "edges": 5},
+            {"n": 2, "edges": [7]},
+            {"n": 2, "edges": [[0, 0, 1, "a"]]},
+            {"n": 2, "edges": [[None, 0, 1, 0]]},
+        ],
     )
     def test_malformed_rejected(self, payload):
         with pytest.raises(ServiceError):

@@ -1,6 +1,7 @@
-"""The service result cache: LRU tier, persistence tier, store warming."""
+"""The service result cache: LRU tier, warehouse tier, store warming."""
 
 import json
+import os
 import random
 
 import pytest
@@ -17,11 +18,14 @@ from repro.graphs import (
     relabel_nodes,
     ring,
 )
+from repro.analysis.bench import warm_from_stores
 from repro.service.cache import (
+    SERVICE_CACHE_DATASET,
     ResultCache,
     canonical_query_name,
-    warm_from_stores,
 )
+
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
 def rec(i):
@@ -58,52 +62,44 @@ class TestLRUTier:
 
 class TestPersistenceTier:
     def test_roundtrip(self, tmp_path):
-        import os
-
-        path = str(tmp_path / "cache.jsonl")
+        path = str(tmp_path / "cache.sqlite")
         with ResultCache(path=path) as cache:
             cache.put(("fp1", "index"), rec(1))
             cache.put(("fp2", "elect"), rec(2))
             assert cache.persisted == 2
-            # the offset index mirrors the bytes actually on disk (the
-            # append handle must not translate newlines on any OS)
-            assert cache._append_end == os.path.getsize(path)
-            assert set(cache._offsets.values()) < {0, cache._append_end} | {
-                cache._offsets[("fp2", "elect")]
-            }
         with ResultCache(path=path) as cache:
             assert cache.get(("fp1", "index")) == rec(1)
             assert cache.get(("fp2", "elect")) == rec(2)
             assert cache.persisted == 2
-            # offsets recorded at load time match the ones at write time
-            for key in (("fp1", "index"), ("fp2", "elect")):
-                assert key in cache._offsets
 
     def test_put_is_idempotent_on_disk(self, tmp_path):
-        path = str(tmp_path / "cache.jsonl")
+        path = str(tmp_path / "cache.sqlite")
         with ResultCache(path=path) as cache:
             for _ in range(3):
                 cache.put(("fp1", "index"), rec(1))
-        assert sum(1 for _ in open(path)) == 1
+            assert cache.persisted == 1
 
     def test_memory_tier_keeps_most_recent_of_big_file(self, tmp_path):
-        path = str(tmp_path / "cache.jsonl")
+        path = str(tmp_path / "cache.sqlite")
         with ResultCache(path=path) as cache:
             for i in range(10):
                 cache.put((f"fp{i}", "index"), rec(i))
         with ResultCache(path=path, capacity=3) as cache:
             assert len(cache) == 3 and cache.persisted == 10
-            assert cache.get(("fp9", "index")) == rec(9)
+            assert list(cache._entries) == [
+                (f"fp{i}", "index") for i in (7, 8, 9)
+            ]
+            assert cache.lookup(("fp9", "index")) == (rec(9), "memory")
 
     def test_eviction_falls_back_to_the_disk_tier(self, tmp_path):
-        """An LRU eviction must never cost a recompute: the offset index
-        re-reads the entry's line and promotes it back into the LRU."""
-        path = str(tmp_path / "cache.jsonl")
+        """An LRU eviction must never cost a recompute: the warehouse
+        re-reads the entry's row and promotes it back into the LRU."""
+        path = str(tmp_path / "cache.sqlite")
         with ResultCache(path=path, capacity=2) as cache:
             for i in range(5):
                 cache.put((f"fp{i}", "index"), rec(i))
             assert len(cache) == 2  # fp0..fp2 evicted from memory
-            assert cache.get(("fp0", "index")) == rec(0)  # disk fallback
+            assert cache.lookup(("fp0", "index")) == (rec(0), "warehouse")
             assert ("fp0", "index") in cache
             # the promotion is a real LRU insert: fp0 is now resident
             assert cache._entries[("fp0", "index")] == rec(0)
@@ -116,44 +112,61 @@ class TestPersistenceTier:
         from repro.service import ServiceCore
 
         g = random_tree(11, seed=4)
-        cache = ResultCache(path=str(tmp_path / "c.jsonl"), capacity=1)
+        cache = ResultCache(path=str(tmp_path / "c.sqlite"), capacity=1)
         core = ServiceCore(cache)
         first = core.query("index", g)
         core.query("quotient", g)  # evicts the index entry from memory
         again = core.query("index", g)
         assert again.cached and again.record == first.record
+        assert core.metrics()["warehouse_hits"] == 1
         core.close()
 
-    def test_torn_tail_repaired(self, tmp_path):
-        path = str(tmp_path / "cache.jsonl")
-        with ResultCache(path=path) as cache:
-            cache.put(("fp1", "index"), rec(1))
-            cache.put(("fp2", "index"), rec(2))
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"fingerprint": "fp3", "tas')  # kill mid-write
-        with ResultCache(path=path) as cache:
-            assert cache.persisted == 2
-            cache.put(("fp4", "index"), rec(4))
-        lines = [json.loads(l) for l in open(path) if l.strip()]
-        assert [e["fingerprint"] for e in lines] == ["fp1", "fp2", "fp4"]
-
-    def test_interior_corruption_raises(self, tmp_path):
-        path = str(tmp_path / "cache.jsonl")
-        with ResultCache(path=path) as cache:
-            cache.put(("fp1", "index"), rec(1))
-        data = open(path).read()
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("NOT JSON\n" + data)
-        with pytest.raises(ServiceError, match="corrupt at line 1"):
-            ResultCache(path=path)
-
     def test_non_entry_line_rejected(self, tmp_path):
+        """A cache JSONL file enters the warehouse through an import,
+        which refuses a line that is not a cache envelope."""
+        from repro.engine import StoreError
+        from repro.warehouse import Warehouse, import_file
+
         path = str(tmp_path / "cache.jsonl")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write('{"fingerprint": "x", "task": "t"}\n')  # no record
             fh.write('{"fingerprint": "y", "task": "t", "record": {}}\n')
-        with pytest.raises(ServiceError, match="corrupt at line 1"):
-            ResultCache(path=path)
+        with Warehouse(str(tmp_path / "wh.sqlite")) as wh:
+            with pytest.raises(StoreError, match=":1: not a cache entry"):
+                import_file(wh, path, fmt="cache")
+
+    def test_jsonl_cache_path_is_refused(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        with pytest.raises(ServiceError, match="repro warehouse import"):
+            ResultCache(path=str(path))
+        assert not path.exists()
+
+    def test_golden_cache_jsonl_migrates_to_the_warehouse(self, tmp_path):
+        """The migration the refusal names: `repro warehouse import DB
+        FILE --dataset service-cache`, then the cache serves every
+        imported entry byte for byte, however small its memory tier."""
+        from repro.cli import main
+
+        golden = os.path.join(DATA_DIR, "golden_cache_caterpillars.jsonl")
+        db = str(tmp_path / "migrated.sqlite")
+        assert main([
+            "warehouse", "import", db, golden,
+            "--dataset", SERVICE_CACHE_DATASET,
+        ]) == 0
+        with open(golden, encoding="utf-8") as fh:
+            lines = [line.rstrip("\n") for line in fh if line.strip()]
+        with ResultCache(db, capacity=2) as cache:
+            assert cache.persisted == len(lines)
+            for line in lines:
+                entry = json.loads(line)
+                record, tier = cache.lookup(
+                    (entry["fingerprint"], entry["task"])
+                )
+                assert tier is not None
+                assert record_to_json(record) == record_to_json(
+                    entry["record"]
+                )
+                assert record_to_json({**entry, "record": record}) == line
 
 
 class TestWarming:

@@ -577,6 +577,20 @@ class TestEdgeErrors:
         status, payload = post(url, "/v1/index", graph)
         assert status == 200 and payload["cached"] is False
 
+    def test_malformed_edge_fields_are_a_json_400(self, service):
+        """A null edge field used to raise a TypeError under the parse,
+        and the client saw the connection drop with no reply."""
+        url, _core = service
+        graph = {"n": 2, "edges": [[None, 0, 1, 0]]}
+        for path, body in (
+            ("/v1/index", graph),
+            ("/v1/batch", {"requests": [{"task": "index", "graph": graph}]}),
+        ):
+            code, payload = post_error(url, path, json.dumps(body).encode())
+            assert code == 400
+            assert payload["error"] == "ServiceError"
+            assert "invalid graph payload" in payload["detail"]
+
     @pytest.mark.parametrize("shards", [0, 1])
     def test_one_node_graph_is_a_422(self, shards):
         """phi = 0 has no advice: elect and advice must answer 422, not
@@ -767,7 +781,7 @@ class TestShardedServer:
 
 class TestPersistenceAcrossRestart:
     def test_restart_serves_warm(self, tmp_path):
-        path = str(tmp_path / "cache.jsonl")
+        path = str(tmp_path / "cache.sqlite")
         g = random_tree(10, seed=5)
 
         core = ServiceCore(ResultCache(path=path))
@@ -831,29 +845,50 @@ class TestCLIClient:
 
 
 class TestServeCommand:
-    def test_warm_requires_warm_corpus(self, capsys):
-        assert cli_main(["serve", "--warm", "store.jsonl"]) == 2
-        assert "--warm-corpus" in capsys.readouterr().err
+    @pytest.fixture()
+    def no_serving(self, monkeypatch):
+        """Fail the test, instead of serving forever, if `repro serve`
+        gets as far as binding a server."""
+        import repro.service as svc
 
-    def test_warm_corpus_requires_warm(self, capsys):
-        assert cli_main(["serve", "--warm-corpus", "lifts:2"]) == 2
-        assert "no effect without --warm" in capsys.readouterr().err
+        def refuse(*args, **kwargs):
+            raise AssertionError("repro serve started a server")
+
+        monkeypatch.setattr(svc, "make_server", refuse)
+
+    def test_stale_warm_flag_exits_2_without_serving(
+        self, tmp_path, capsys, no_serving
+    ):
+        """`--warm` is gone; argparse reads the stale prefix as
+        `--warm-warehouse`, which must refuse a JSONL store cleanly."""
+        store = tmp_path / "store.jsonl"
+        store.write_text('{"name": "a", "task": "index"}\n')
+        assert cli_main(["serve", "--warm", str(store)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "store.jsonl" in err
+        assert store.read_text() == '{"name": "a", "task": "index"}\n'
+
+    def test_jsonl_cache_exits_2_naming_the_migration(
+        self, tmp_path, capsys, no_serving
+    ):
+        legacy = tmp_path / "legacy.jsonl"
+        assert cli_main(["serve", "--cache", str(legacy)]) == 2
+        assert "repro warehouse import" in capsys.readouterr().err
+        assert not legacy.exists()
 
     def test_full_serve_path(self, tmp_path, monkeypatch, capsys):
-        """`repro serve` end to end: warm from a store, answer a warmed
-        query over HTTP, shut down cleanly, persist the cache."""
+        """`repro serve` end to end: warm from a warehouse sweep, answer
+        a warmed query over HTTP, shut down cleanly, persist the cache."""
         import repro.service as svc
-        from repro.engine import ResultStore, run_stream
+        from repro.analysis.sweep import sweep_to_store
+        from repro.corpus import iter_corpus
+        from repro.engine import open_result_store
 
-        corpus = list(
-            __import__("repro.corpus", fromlist=["get_family"])
-            .get_family("random-trees")
-            .generate(2, seed=1)
-        )
-        store = tmp_path / "store.jsonl"
-        with ResultStore(str(store)) as s:
-            for record in run_stream(iter(corpus), "index"):
-                s.append(record)
+        spec = "random-trees:2,seed=1"
+        results = tmp_path / "results.sqlite"
+        with open_result_store(str(results)) as store:
+            sweep_to_store(iter_corpus(spec), "index", store)
+        corpus = list(iter_corpus(spec))
 
         captured = {}
         real_make = svc.make_server
@@ -863,15 +898,14 @@ class TestServeCommand:
             return captured["server"]
 
         monkeypatch.setattr(svc, "make_server", grab)
-        cache = tmp_path / "cache.jsonl"
+        cache = tmp_path / "cache.sqlite"
         exit_code = {}
         thread = threading.Thread(
             target=lambda: exit_code.setdefault(
                 "code",
                 cli_main(
                     ["serve", "--port", "0", "--cache", str(cache),
-                     "--warm", str(store),
-                     "--warm-corpus", "random-trees:2,seed=1"]
+                     "--warm-warehouse", str(results)]
                 ),
             ),
             daemon=True,
@@ -880,8 +914,6 @@ class TestServeCommand:
         for _ in range(100):
             if "server" in captured:
                 break
-            import time
-
             time.sleep(0.05)
         server = captured["server"]
         url = f"http://127.0.0.1:{server.server_address[1]}"
@@ -896,7 +928,7 @@ class TestServeCommand:
         assert exit_code["code"] == 0
         out = capsys.readouterr().out
         assert "warm: 2 entries" in out
-        assert "entries persisted" in out
+        assert "2 entries persisted" in out
         assert cache.exists()
 
 

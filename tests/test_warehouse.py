@@ -25,12 +25,9 @@ from repro.analysis.sweep import sweep_to_store
 from repro.corpus import iter_corpus
 from repro.engine import ResultStore, StoreError, load_records, open_result_store
 from repro.engine.records import record_to_json
-from repro.service import (
-    ResultCache,
-    ServiceCore,
-    warm_from_stores,
-    warm_from_warehouse,
-)
+from repro.analysis.bench import warm_from_stores
+from repro.errors import ServiceError
+from repro.service import ResultCache, ServiceCore, warm_from_warehouse
 from repro.warehouse import (
     Warehouse,
     WarehouseStore,
@@ -387,6 +384,14 @@ def test_export_unknown_dataset_raises(tmp_path):
             export_dataset(wh, "nope", str(tmp_path / "out.jsonl"))
 
 
+def test_a_file_that_is_not_a_database_raises_store_error(tmp_path):
+    path = tmp_path / "not_a_db.jsonl"
+    path.write_text('{"name": "a", "task": "index"}\n')
+    with pytest.raises(StoreError, match="not_a_db.jsonl"):
+        Warehouse(str(path))
+    assert path.read_text() == '{"name": "a", "task": "index"}\n'
+
+
 # ----------------------------------------------------------------------
 # the service warm tier
 # ----------------------------------------------------------------------
@@ -485,22 +490,17 @@ def test_eviction_hits_warehouse_and_metrics_tier_split(tmp_path, warm_setup):
     assert m["hits"] == 2
     assert m["warehouse_hits"] == 1
     assert m["memory_hits"] == 1
-    assert m["file_hits"] == 0
+    assert "file_hits" not in m
     per_task = m["tasks"]["elect"]
     assert per_task["hits"] == 2 and per_task["warehouse_hits"] == 1
     core.close()
 
 
-def test_jsonl_cache_reports_file_tier(tmp_path, warm_setup):
-    corpus, _wh_path, _store_path = warm_setup
-    cache_path = str(tmp_path / "cache.jsonl")
-    core = ServiceCore(cache=ResultCache(cache_path, capacity=1))
-    core.query("elect", corpus[0][1])
-    core.query("elect", corpus[1][1])
-    assert core.query("elect", corpus[0][1]).cached
-    m = core.metrics()
-    assert m["file_hits"] == 1 and m["warehouse_hits"] == 0
-    core.close()
+def test_warm_from_a_missing_warehouse_raises_and_creates_nothing(tmp_path):
+    missing = tmp_path / "typo.sqlite"
+    with pytest.raises(ServiceError, match="typo.sqlite"):
+        warm_from_warehouse(ResultCache(), str(missing))
+    assert not missing.exists()
 
 
 # ----------------------------------------------------------------------
@@ -618,6 +618,36 @@ class TestWarehouseCLI:
         out = capsys.readouterr().out.strip().splitlines()[-1]
         with open(src, "rb") as a, open(out, "rb") as b:
             assert a.read() == b.read()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["warehouse", "info", "{db}"],
+            ["warehouse", "trend", "{db}"],
+            ["warehouse", "export", "{db}", "sweep", "{out}"],
+            ["warehouse", "import", "{db}", "{out}"],
+            ["warehouse", "register", "{db}", "sweep", "lifts:2"],
+            ["report", "--trend", "{db}"],
+            ["sweep", "--corpus", "lifts:2", "--task", "index",
+             "--out", "{db}"],
+        ],
+        ids=["info", "trend", "export", "import", "register",
+             "report-trend", "sweep"],
+    )
+    def test_a_file_that_is_not_a_database_exits_2(
+        self, tmp_path, capsys, argv
+    ):
+        from repro.cli import main
+
+        db = tmp_path / "not_a_db.sqlite"
+        db.write_text('{"name": "a", "task": "index"}\n')
+        out = tmp_path / "out.jsonl"
+        out.write_text('{"name": "a", "task": "index"}\n')
+        argv = [arg.format(db=db, out=out) for arg in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not_a_db.sqlite" in err
+        assert "Traceback" not in err
 
     def test_export_without_dataset_errors(self, tmp_path, capsys):
         from repro.cli import main
