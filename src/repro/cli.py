@@ -1028,8 +1028,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache", default=None, metavar="DB",
         help="persist the result cache to this results warehouse "
         "(.sqlite/.db: indexed rows, shared with batch sweeps); a cache "
-        "JSONL file migrates with `repro warehouse import DB FILE "
-        "--dataset service-cache`",
+        "JSONL file migrates with `repro warehouse import DB FILE`",
     )
     p.add_argument(
         "--capacity", type=int, default=4096,
@@ -1113,8 +1112,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pi.add_argument(
         "--dataset", default=None,
-        help="target dataset (default: the file's basename; bench records "
-        "always land in 'bench')",
+        help="target dataset (default: 'service-cache' for cache files, "
+        "the dataset `repro serve --cache` reads; 'bench' for bench "
+        "records; the file's basename for result stores)",
     )
     pi.add_argument("--label", default=None, help="provenance run label")
     pi.set_defaults(func=_cmd_warehouse)

@@ -20,7 +20,7 @@ queries in preorder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.coding.bitstring import Bits
@@ -31,22 +31,28 @@ from repro.errors import CodingError
 
 @dataclass(frozen=True)
 class Trie:
-    """A trie node.  ``query is None`` iff this is a leaf."""
+    """A trie node.  ``query is None`` iff this is a leaf.  ``leaves``, the
+    node's leaf count, is set once when the node is built (a trie never
+    changes) and takes no part in ``==`` or ``hash``."""
 
     query: Optional[Tuple[int, int]]
     left: Optional["Trie"] = None
     right: Optional["Trie"] = None
+    leaves: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.query is None:
             if self.left is not None or self.right is not None:
                 raise CodingError("a trie leaf cannot have children")
+            leaves = 1
         else:
             if self.left is None or self.right is None:
                 raise CodingError("a trie internal node must have two children")
             a, b = self.query
             if a < 0 or b < 0:
                 raise CodingError(f"trie query must be non-negative, got {self.query}")
+            leaves = self.left.leaves + self.right.leaves
+        object.__setattr__(self, "leaves", leaves)
 
     # ------------------------------------------------------------------
     @property
@@ -55,9 +61,7 @@ class Trie:
 
     def num_leaves(self) -> int:
         """Number of leaves (objects discriminated by this trie)."""
-        if self.is_leaf:
-            return 1
-        return self.left.num_leaves() + self.right.num_leaves()
+        return self.leaves
 
     def size(self) -> int:
         """Total number of nodes; always ``2 * num_leaves() - 1``."""

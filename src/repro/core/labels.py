@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.coding.tries import Trie
-from repro.errors import AdviceError
+from repro.errors import AdviceError, CodingError
 from repro.views.encoding import encode_b1
 from repro.views.view import View, truncate_view
 
@@ -37,9 +37,8 @@ class LabelingContext:
     e1: Optional[Trie] = None
     e2_layers: Dict[int, Dict[int, Trie]] = field(default_factory=dict)
     _label_cache: Dict[View, int] = field(default_factory=dict)
-    _leaves_cache: Dict[int, int] = field(default_factory=dict)
     #: depth -> (sorted trie keys >= 1, extra leaves before each key):
-    #: ``extra[j]`` sums ``num_leaves - 1`` over the first ``j`` keys
+    #: ``extra[j]`` sums ``leaves - 1`` over the first ``j`` keys
     _layer_offsets: Dict[int, Tuple[List[int], List[int]]] = field(
         default_factory=dict
     )
@@ -52,51 +51,52 @@ class LabelingContext:
         keys = sorted(k for k in layer if k >= 1)
         extra = [0]
         for k in keys:
-            extra.append(extra[-1] + self.num_leaves(layer[k]) - 1)
+            extra.append(extra[-1] + layer[k].leaves - 1)
         self._layer_offsets[depth] = (keys, extra)
 
-    def num_leaves(self, trie: Trie) -> int:
-        """Cached leaf count of a trie."""
-        cached = self._leaves_cache.get(id(trie))
-        if cached is None:
-            cached = trie.num_leaves()
-            self._leaves_cache[id(trie)] = cached
-        return cached
 
-
-def local_label(
-    b: View, x: Sequence[int], trie: Trie, ctx: LabelingContext
-) -> int:
+def local_label(b: View, x: Sequence[int], trie: Trie) -> int:
     """Algorithm 2.
 
     ``b`` is an augmented truncated view; ``x`` the (possibly empty) list of
     labels previously assigned to the children of the view's root; ``trie``
     discriminates the candidate set.  Returns the 1-based index of the leaf
-    the queries route ``b`` to.
+    the queries route ``b`` to.  Going right skips the left subtrie's
+    leaves, which each trie node carries (``Trie.leaves``).
     """
+    if trie.query is None:
+        return 1
     node = trie
     offset = 0
-    while not node.is_leaf:
-        qx, qy = node.query
-        left = False
-        if len(x) == 0:
-            bits = encode_b1(b)
-            if qx == 0 and len(bits) < qy:
-                left = True
-            if qx == 1 and bits.bit(qy) == 0:
-                left = True
-        else:
-            if qx >= len(x):
-                raise AdviceError(
-                    f"trie query inspects child {qx} but the view root has "
-                    f"only {len(x)} children"
+    if not x:
+        # depth-1 mode: every query reads the one code bin(B^1(b))
+        code = encode_b1(b).as_str()
+        length = len(code)
+        while node.query is not None:
+            qx, qy = node.query
+            if qx == 1 and not 1 <= qy <= length:
+                raise CodingError(
+                    f"bit index {qy} out of range for bitstring of "
+                    f"length {length}"
                 )
-            if x[qx] != qy:
-                left = True
-        if left:
+            if (qx == 0 and length < qy) or (qx == 1 and code[qy - 1] != "1"):
+                node = node.left
+            else:
+                offset += node.left.leaves
+                node = node.right
+        return offset + 1
+    degree = len(x)
+    while node.query is not None:
+        qx, qy = node.query
+        if qx >= degree:
+            raise AdviceError(
+                f"trie query inspects child {qx} but the view root has "
+                f"only {degree} children"
+            )
+        if x[qx] != qy:
             node = node.left
         else:
-            offset += ctx.num_leaves(node.left)
+            offset += node.left.leaves
             node = node.right
     return offset + 1
 
@@ -130,7 +130,7 @@ def retrieve_label(b: View, ctx: LabelingContext) -> int:
         if d == 1:
             if ctx.e1 is None:
                 raise AdviceError("labeling context has no depth-1 trie E1")
-            cache[v] = local_label(v, (), ctx.e1, ctx)
+            cache[v] = local_label(v, (), ctx.e1)
             stack.pop()
             continue
         pending = [child for _, child in v.children if child not in cache]
@@ -168,4 +168,4 @@ def _route(
     trie = ctx.e2_layers.get(d, {}).get(label)
     if trie is None:
         return before + 1
-    return before + local_label(b, x, trie, ctx)
+    return before + local_label(b, x, trie)

@@ -29,24 +29,35 @@ def to_dict(g: PortGraph) -> Dict[str, Any]:
     }
 
 
+def _is_int(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def from_dict(data: Dict[str, Any], require_connected: bool = True) -> PortGraph:
-    """Rebuild a port graph from its canonical dict form."""
+    """Rebuild a port graph from its canonical dict form.  ``n`` and every
+    edge field must be an ``int``: a bool, float or string is refused,
+    never truncated into a different graph."""
     try:
-        n = int(data["n"])
+        n = data["n"]
         edges = data["edges"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise CodingError(f"malformed port-graph dict: {exc}") from exc
+    if not _is_int(n):
+        raise CodingError(
+            f"malformed port-graph dict: n must be an integer, got {n!r}"
+        )
     b = PortGraphBuilder(n)
     try:
-        for entry in edges:
-            if len(entry) != 4:
+        for i, entry in enumerate(edges):
+            if len(entry) != 4 or not all(map(_is_int, entry)):
                 raise CodingError(
-                    f"edge entry must have 4 fields, got {entry!r}"
+                    f"edge entry {i} must be 4 integers [u, p, v, q], "
+                    f"got {entry!r}"
                 )
-            u, p, v, q = (int(x) for x in entry)
+            u, p, v, q = entry
             b.add_edge(u, p, v, q)
     except (TypeError, ValueError) as exc:
-        # "edges": 5, an entry 7, a field null or "a"
+        # "edges": 5, or an entry 7
         raise CodingError(f"malformed port-graph edges: {exc}") from exc
     return b.build(require_connected=require_connected)
 

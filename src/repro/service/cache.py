@@ -54,9 +54,8 @@ WARMABLE_TASKS = ("advice", "elect", "index", "quotient")
 
 DEFAULT_CAPACITY = 4096
 
-#: The warehouse dataset service cache entries live in.  Imports of
-#: legacy cache JSONL files must target this dataset for the service to
-#: see them (``repro warehouse import --dataset service-cache``).
+#: The warehouse dataset service cache entries live in, and the one
+#: ``repro warehouse import`` files a cache JSONL file under by default.
 SERVICE_CACHE_DATASET = "service-cache"
 
 
@@ -98,7 +97,8 @@ class ResultCache:
             raise ServiceError(
                 f"cache path '{path}' is not a warehouse database (.sqlite, "
                 f".db); migrate a cache JSONL file with `repro warehouse "
-                f"import DB {path} --dataset {SERVICE_CACHE_DATASET}`"
+                f"import DB {path}` (its entries land in dataset "
+                f"'{SERVICE_CACHE_DATASET}')"
             )
         self._warehouse = Warehouse(path)
         self._run_id = self._warehouse.begin_run(

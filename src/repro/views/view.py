@@ -35,7 +35,8 @@ _BY_DEPTH: Dict[int, List["View"]] = {}
 
 class View:
     """An interned augmented truncated view.  Do not construct directly;
-    use :meth:`View.make`."""
+    use :meth:`View.make`.  Interning makes structural equality identity,
+    so a view keeps ``object``'s ``==`` and ``hash``, which run in C."""
 
     __slots__ = ("degree", "children", "depth")
 
@@ -84,13 +85,6 @@ class View:
 
     def __setattr__(self, name, value):  # views are immutable
         raise AttributeError("View objects are immutable")
-
-    # identity semantics: interning makes structural equality == identity
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return id(self)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"View(depth={self.depth}, degree={self.degree})"

@@ -168,6 +168,10 @@ def import_file(
 ) -> Tuple[str, str, int]:
     """Import one file; returns ``(format, dataset, rows imported)``.
 
+    Without ``dataset``, a cache file lands in ``service-cache``, where
+    ``repro serve --cache`` reads it, a bench record in ``bench``, and a
+    result store in a dataset named after the file.
+
     ``run_id`` lets a caller group several files (e.g. one ``repro
     bench`` invocation's BENCH records) under a single provenance row;
     by default each file gets its own ``import`` run.
@@ -180,7 +184,12 @@ def import_file(
             f"unknown import format '{fmt}'; expected one of "
             f"{', '.join(IMPORT_FORMATS)}"
         )
-    dataset = dataset or ("bench" if fmt == "bench" else default_dataset(path))
+    if not dataset:
+        from repro.service.cache import SERVICE_CACHE_DATASET
+
+        dataset = {"bench": "bench", "cache": SERVICE_CACHE_DATASET}.get(
+            fmt, default_dataset(path)
+        )
     own_run = run_id is None
     if own_run:
         run_id = wh.begin_run("import", label or path)

@@ -231,7 +231,7 @@ def _retrieve_label_reference(b, ctx, cache):
         return cache[b]
     d = b.depth
     if d == 1:
-        result = local_label(b, (), ctx.e1, ctx)
+        result = local_label(b, (), ctx.e1)
     else:
         x = tuple(_retrieve_label_reference(c, ctx, cache) for _, c in b.children)
         label = _retrieve_label_reference(truncate_view(b, d - 1), ctx, cache)
@@ -244,7 +244,7 @@ def _retrieve_label_reference(b, ctx, cache):
             elif i < label:
                 result += trie.num_leaves()
             else:
-                result += local_label(b, x, trie, ctx)
+                result += local_label(b, x, trie)
     cache[b] = result
     return result
 

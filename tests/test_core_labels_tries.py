@@ -36,7 +36,7 @@ class TestDepth1Tries:
     def test_labels_bijective(self, name_g):
         _, g = name_g
         ctx, s1 = _depth1_context(g)
-        labels = {local_label(b, (), ctx.e1, ctx) for b in s1}
+        labels = {local_label(b, (), ctx.e1) for b in s1}
         assert labels == set(range(1, len(s1) + 1))
 
     def test_single_view_label_one(self):
@@ -45,7 +45,7 @@ class TestDepth1Tries:
         g = ring(6)  # all depth-1 views identical
         ctx, s1 = _depth1_context(g)
         assert len(s1) == 1
-        assert local_label(s1[0], (), ctx.e1, ctx) == 1
+        assert local_label(s1[0], (), ctx.e1) == 1
 
 
 class TestRetrieveLabelFullDepth:

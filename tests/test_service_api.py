@@ -358,6 +358,12 @@ class TestGraphPayload:
             {"n": 2, "edges": [7]},
             {"n": 2, "edges": [[0, 0, 1, "a"]]},
             {"n": 2, "edges": [[None, 0, 1, 0]]},
+            # fields int() would truncate into a different graph
+            {"n": 3, "edges": [[0.9, 0, 1.7, "0"], [1, 1, 2, 0], [2, 1, 0, 1]]},
+            {"n": True, "edges": []},
+            {"n": 3.0, "edges": [[0, 0, 1, 0], [1, 1, 2, 0], [2, 1, 0, 1]]},
+            {"n": "3", "edges": [[0, 0, 1, 0], [1, 1, 2, 0], [2, 1, 0, 1]]},
+            {"n": 2, "edges": [[0, 0, True, 0]]},
         ],
     )
     def test_malformed_rejected(self, payload):

@@ -142,9 +142,9 @@ class TestPersistenceTier:
         assert not path.exists()
 
     def test_golden_cache_jsonl_migrates_to_the_warehouse(self, tmp_path):
-        """The migration the refusal names: `repro warehouse import DB
-        FILE --dataset service-cache`, then the cache serves every
-        imported entry byte for byte, however small its memory tier."""
+        """The migration with an explicit `--dataset service-cache`:
+        the cache serves every imported entry byte for byte, however
+        small its memory tier."""
         from repro.cli import main
 
         golden = os.path.join(DATA_DIR, "golden_cache_caterpillars.jsonl")
@@ -167,6 +167,30 @@ class TestPersistenceTier:
                     entry["record"]
                 )
                 assert record_to_json({**entry, "record": record}) == line
+
+    def test_a_cache_import_defaults_to_service_cache_through_the_cli(
+        self, tmp_path, capsys
+    ):
+        """Without --dataset a sniffed cache file lands where `repro
+        serve --cache` reads, not under the file's basename."""
+        from repro.cli import main
+
+        golden = os.path.join(DATA_DIR, "golden_cache_caterpillars.jsonl")
+        db = str(tmp_path / "migrated.sqlite")
+        assert main(["warehouse", "import", db, golden]) == 0
+        assert f"dataset '{SERVICE_CACHE_DATASET}'" in capsys.readouterr().out
+        with ResultCache(db) as cache:
+            assert cache.persisted == 6
+
+    def test_a_cache_import_defaults_to_service_cache(self, tmp_path):
+        from repro.warehouse import Warehouse, import_file
+
+        golden = os.path.join(DATA_DIR, "golden_cache_caterpillars.jsonl")
+        db = str(tmp_path / "migrated.sqlite")
+        with Warehouse(db) as wh:
+            assert import_file(wh, golden) == ("cache", SERVICE_CACHE_DATASET, 6)
+        with ResultCache(db) as cache:
+            assert cache.persisted == 6
 
 
 class TestWarming:

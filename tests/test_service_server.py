@@ -579,17 +579,26 @@ class TestEdgeErrors:
 
     def test_malformed_edge_fields_are_a_json_400(self, service):
         """A null edge field used to raise a TypeError under the parse,
-        and the client saw the connection drop with no reply."""
+        and the client saw the connection drop with no reply; a float or
+        string field was truncated, and the client got a 200 about a
+        different graph."""
         url, _core = service
-        graph = {"n": 2, "edges": [[None, 0, 1, 0]]}
-        for path, body in (
-            ("/v1/index", graph),
-            ("/v1/batch", {"requests": [{"task": "index", "graph": graph}]}),
+        triangle = [[0, 0, 1, 0], [1, 1, 2, 0], [2, 1, 0, 1]]
+        for graph in (
+            {"n": 2, "edges": [[None, 0, 1, 0]]},
+            {"n": 3, "edges": [[0.9, 0, 1.7, "0"], [1, 1, 2, 0], [2, 1, 0, 1]]},
+            {"n": True, "edges": []},
+            {"n": 3.0, "edges": triangle},
+            {"n": "3", "edges": triangle},
         ):
-            code, payload = post_error(url, path, json.dumps(body).encode())
-            assert code == 400
-            assert payload["error"] == "ServiceError"
-            assert "invalid graph payload" in payload["detail"]
+            for path, body in (
+                ("/v1/index", graph),
+                ("/v1/batch", {"requests": [{"task": "index", "graph": graph}]}),
+            ):
+                code, payload = post_error(url, path, json.dumps(body).encode())
+                assert code == 400, (graph, path)
+                assert payload["error"] == "ServiceError"
+                assert "invalid graph payload" in payload["detail"]
 
     @pytest.mark.parametrize("shards", [0, 1])
     def test_one_node_graph_is_a_422(self, shards):
