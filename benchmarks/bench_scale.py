@@ -22,7 +22,7 @@ from repro.analysis import format_table
 from repro.analysis.sweep import sweep_to_store
 from repro.corpus import iter_corpus
 from repro.core import run_elect
-from repro.engine import EngineConfig, ResultStore, run_stream
+from repro.engine import EngineConfig, open_result_store, run_stream
 from repro.lowerbounds import hk_graph, necklace
 
 from benchmarks.conftest import OUT_DIR, emit
@@ -89,14 +89,14 @@ def test_scale_streamed_registry_sweep(benchmark):
     Peak corpus residency is one chunk; the store ends with one record
     per entry and resuming it is a no-op."""
     spec = "vertex-transitive:1000,seed=11"
-    path = os.fspath(OUT_DIR / "scale_streamed_registry.jsonl")
+    path = os.fspath(OUT_DIR / "scale_streamed_registry.sqlite")
     OUT_DIR.mkdir(exist_ok=True)
-    with ResultStore(path) as store:
+    with open_result_store(path) as store:
         ran, skipped = sweep_to_store(
             iter_corpus(spec), "index", store, workers=2
         )
     assert (ran, skipped) == (1000, 0)
-    with ResultStore(path, resume=True) as store:
+    with open_result_store(path, resume=True) as store:
         ran, skipped = sweep_to_store(iter_corpus(spec), "index", store)
     assert (ran, skipped) == (0, 1000)
     emit(

@@ -775,10 +775,11 @@ def warm_from_stores(
     corpus: Iterable[Tuple[str, "PortGraph"]],
     tasks: Optional[Sequence[str]] = None,
 ) -> Tuple[int, int]:
-    """Pre-populate ``cache`` from batch result stores by re-streaming
-    their corpus: the reference that the ``warehouse`` scenario below and
-    ``tests/test_warehouse.py`` check and time
-    :func:`~repro.service.cache.warm_from_warehouse`'s join against.
+    """Pre-populate ``cache`` from JSONL result stores (``repro warehouse
+    export`` files) by re-streaming their corpus: the reference that the
+    ``warehouse`` scenario below and ``tests/test_warehouse.py`` check
+    and time :func:`~repro.service.cache.warm_from_warehouse`'s join
+    against.
 
     ``corpus`` supplies the ``(name, graph)`` entries the stores were
     swept over (a corpus family stream, or a ``corpus emit`` file); only
@@ -790,7 +791,6 @@ def warm_from_stores(
     that name in ``corpus``).  ``tasks`` defaults to
     :data:`~repro.service.cache.WARMABLE_TASKS`.
     """
-    from repro.engine.store import load_records
     from repro.graphs.canonical import canonical_form
     from repro.service.cache import WARMABLE_TASKS, canonicalize_record
 
@@ -798,17 +798,21 @@ def warm_from_stores(
     by_name: Dict[str, Dict[str, Any]] = {}
     skipped = 0
     for path in store_paths:
-        for record in load_records(path):
-            task = record.get("task")
-            name = record.get("name")
-            if (
-                task not in wanted
-                or not isinstance(name, str)
-                or record.get("entry", name) != name
-            ):
-                skipped += 1
-                continue
-            by_name.setdefault(name, {})[task] = record
+        with open(path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                if not line.strip():
+                    continue
+                record = json.loads(line)
+                task = record.get("task")
+                name = record.get("name")
+                if (
+                    task not in wanted
+                    or not isinstance(name, str)
+                    or record.get("entry", name) != name
+                ):
+                    skipped += 1
+                    continue
+                by_name.setdefault(name, {})[task] = record
     warmed = 0
     for name, graph in corpus:
         records = by_name.pop(name, None)

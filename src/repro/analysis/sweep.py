@@ -13,15 +13,15 @@ For corpora too large to hold (the families of :mod:`repro.corpus`),
 ``sweep_to_store`` is the resumable streaming loop behind
 ``repro sweep --out/--resume``: it filters out entries whose records are
 already persisted, streams the rest through the engine, and appends each
-record to the store as it arrives.
+record to the warehouse store as it arrives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
-from repro.engine import EngineConfig, ResultStore, run_experiments, run_stream
+from repro.engine import EngineConfig, run_experiments, run_stream
 from repro.graphs.generators import (
     cycle_with_leader_gadget,
     lollipop,
@@ -31,6 +31,9 @@ from repro.graphs.port_graph import PortGraph
 from repro.lowerbounds.necklaces import necklace
 from repro.lowerbounds.ring_of_cliques import hk_graph
 from repro.views.election_index import is_feasible
+
+if TYPE_CHECKING:
+    from repro.warehouse.store import WarehouseStore
 
 
 @dataclass
@@ -109,33 +112,31 @@ def sweep_elect(
 def sweep_to_store(
     corpus_iter: Iterable[Tuple[str, PortGraph]],
     task: str,
-    store: ResultStore,
+    store: WarehouseStore,
     workers: int = 1,
     chunk_size: Optional[int] = None,
 ) -> Tuple[int, int]:
-    """Stream ``task`` over a lazy corpus into a persistent store.
+    """Stream ``task`` over a lazy corpus into a warehouse store.
 
     Entries whose ``(name, task)`` key is already in ``store`` are
     skipped *before* their graph is ever sent to a worker, so resuming an
     interrupted sweep re-pays only the corpus generator, not the tasks.
     For multi-record tasks this key belongs to the entry's *summary*
-    record, which the store only registers once the whole group is on
-    disk — a kill mid-entry re-runs that entry in full (the store
-    truncates its partial group on resume).  Records are appended (and
-    flushed) in corpus order as they arrive, preserving the store's
-    prefix invariant; with a deterministic corpus iterator the resumed
-    file is byte-identical to an uninterrupted run.
+    record, which the store only registers once the whole group has
+    committed — a kill mid-entry re-runs that entry in full.  Records
+    are appended in corpus order as they arrive; with a deterministic
+    corpus iterator the resumed dataset exports byte-identical to an
+    uninterrupted run.
 
-    Warehouse-backed stores additionally get each entry's content
-    address (``store.register_graph``): the fingerprint and canonical
-    relabeling land in the warehouse's ``graphs`` table atomically with
-    the entry's record group, so service warming later joins on an index
-    instead of re-streaming this corpus.
+    Each entry's content address goes to ``store.register_graph``: the
+    fingerprint and canonical relabeling land in the warehouse's
+    ``graphs`` table atomically with the entry's record group, so
+    service warming later joins on an index instead of re-streaming
+    this corpus.
 
     Returns ``(ran, skipped)``: records appended and entries skipped.
     """
     skipped = 0
-    register_graph = getattr(store, "register_graph", None)
 
     def not_yet_recorded():
         nonlocal skipped
@@ -143,8 +144,7 @@ def sweep_to_store(
             if (name, task) in store:
                 skipped += 1
             else:
-                if register_graph is not None:
-                    register_graph(name, graph)
+                store.register_graph(name, graph)
                 yield name, graph
 
     config = EngineConfig(workers=workers, chunk_size=chunk_size)

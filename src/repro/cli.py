@@ -12,18 +12,20 @@ Commands
     The view quotient (what symmetry remains).
 ``sweep [--corpus C] [--task T] [--workers N] [--chunk-size K]``
     Run an experiment sweep through the parallel engine; ``--json FILE``
-    dumps the canonical JSON-lines records.  With ``--out FILE`` the
-    sweep *streams*: corpus entries are generated lazily, records are
-    appended to ``FILE`` as they arrive, and ``--resume`` skips entries
-    already recorded there — an interrupted sweep restarts where it died
-    and the merged file is byte-identical to an uninterrupted run.
-``conformance [--families F,G] [--schedules K] [--workers N] [--out FILE]``
+    dumps the canonical JSON-lines records.  With ``--out DB`` (a
+    warehouse database) the sweep *streams*: corpus entries are
+    generated lazily, records are appended to a dataset of ``DB`` as
+    they arrive, and ``--resume`` skips entries already recorded there —
+    an interrupted sweep restarts where it died and the dataset's
+    ``repro warehouse export`` is byte-identical to an uninterrupted
+    run.
+``conformance [--families F,G] [--schedules K] [--workers N] [--out DB]``
     The differential oracle: every registered election algorithm under
     the synchronous, strict-wire and asynchronous models (the latter
     over ``K`` adversarial schedules), cross-checked per corpus entry;
     prints per-family and per-algorithm tables and exits nonzero on any
-    disagreement.  ``--out``/``--resume`` stream record groups through
-    the result store with kill/resume byte-identity.
+    disagreement.  ``--out``/``--resume`` stream record groups into a
+    warehouse dataset with kill/resume byte-identity.
 ``corpus list`` / ``corpus emit FAMILY[:count,seed=S,...]``
     Inspect the corpus-family registry / stream a family's graphs as
     JSON lines.
@@ -375,22 +377,25 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         records_to_jsonl,
         run_stream,
     )
+    from repro.engine.store import check_store_path
 
     if args.resume and not args.out:
-        raise ReproError("--resume requires --out FILE (the store to resume)")
+        raise ReproError("--resume requires --out DB (the store to resume)")
     if args.out and args.json_out:
         raise ReproError(
-            "--json and --out are mutually exclusive: --out already writes "
-            "the canonical JSON-lines records (incrementally)"
+            "--json and --out are mutually exclusive: --out records the "
+            "same canonical records incrementally (`repro warehouse export` "
+            "writes them as JSON lines)"
         )
+    if args.out:
+        check_store_path(args.out)
     corpus_iter, size_hint = open_corpus_stream(args.corpus)
     size_text = f"{size_hint} graphs" if size_hint is not None else "streamed"
     print(f"task = {args.task}, corpus = {args.corpus} ({size_text}), "
           f"workers = {args.workers}")
 
     if args.out:
-        # streaming path: lazy corpus -> engine -> append-only store
-        # (JSONL file or, by extension, a warehouse dataset)
+        # streaming path: lazy corpus -> engine -> warehouse dataset
         with open_result_store(
             args.out,
             resume=args.resume,
@@ -446,15 +451,14 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
     from repro.analysis.sweep import sweep_to_store
     from repro.conformance import conformance_task_name
     from repro.corpus import get_family
-    from repro.engine import (
-        EngineConfig,
-        load_records,
-        open_result_store,
-        run_stream,
-    )
+    from repro.engine import EngineConfig, open_result_store, run_stream
+    from repro.engine.store import check_store_path
+    from repro.warehouse.db import Warehouse
 
     if args.resume and not args.out:
-        raise ReproError("--resume requires --out FILE (the store to resume)")
+        raise ReproError("--resume requires --out DB (the store to resume)")
+    if args.out:
+        check_store_path(args.out)
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     if not families:
         raise ReproError("--families needs at least one corpus family")
@@ -493,19 +497,21 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
         print(f"{ran} records appended to {args.out}"
               + (f" ({skipped} entries already recorded, skipped)"
                  if skipped else ""))
-        # a store may hold sweeps of other parameterizations (different
-        # task strings); summarize only the one just run
-        records = (
-            r for r in load_records(args.out) if r.get("task") == task
-        )
+        # the dataset may hold sweeps of other parameterizations
+        # (different task strings); summarize only the one just run
+        with Warehouse(args.out) as wh:
+            summary = summarize_conformance(
+                r for r in wh.iter_records(args.dataset)
+                if r.get("task") == task
+            )
     else:
-        records = run_stream(
-            corpus_iter,
-            task,
-            EngineConfig(workers=args.workers, chunk_size=args.chunk_size),
+        summary = summarize_conformance(
+            run_stream(
+                corpus_iter,
+                task,
+                EngineConfig(workers=args.workers, chunk_size=args.chunk_size),
+            )
         )
-
-    summary = summarize_conformance(records)
     columns, rows = family_table(summary)
     print(format_table(columns, rows))
     print()
@@ -895,18 +901,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--out", default=None,
-        help="stream records into this store instead of printing a table "
-        "(corpus entries are generated lazily; memory stays bounded); a "
-        ".sqlite/.db extension selects the warehouse backend",
+        help="stream records into this warehouse database (.sqlite, .db) "
+        "instead of printing a table (corpus entries are generated lazily; "
+        "memory stays bounded); `repro warehouse export DB DATASET FILE` "
+        "writes the JSON lines",
     )
     p.add_argument(
         "--resume", action="store_true",
-        help="with --out: skip entries already recorded in the store, so an "
-        "interrupted sweep restarts where it died",
+        help="with --out: skip entries already recorded in the dataset, so "
+        "an interrupted sweep restarts where it died",
     )
     p.add_argument(
         "--dataset", default="sweep",
-        help="with a warehouse --out: the dataset to write (default: sweep)",
+        help="with --out: the dataset to write (default: sweep)",
     )
     p.set_defaults(func=_cmd_sweep)
 
@@ -941,18 +948,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--out", default=None,
-        help="stream record groups into this store (JSONL, or a warehouse "
-        "database by extension)",
+        help="stream record groups into this warehouse database (.sqlite, "
+        ".db); `repro warehouse export DB DATASET FILE` writes the JSON "
+        "lines",
     )
     p.add_argument(
         "--resume", action="store_true",
         help="with --out: skip entries whose record group is already "
-        "complete in the store (partial groups are re-run in full)",
+        "committed to the dataset (partial groups are re-run in full)",
     )
     p.add_argument(
         "--dataset", default="conformance",
-        help="with a warehouse --out: the dataset to write "
-        "(default: conformance)",
+        help="with --out: the dataset to write (default: conformance)",
     )
     p.set_defaults(func=_cmd_conformance)
 

@@ -62,7 +62,9 @@ def local_label(b: View, x: Sequence[int], trie: Trie) -> int:
     labels previously assigned to the children of the view's root; ``trie``
     discriminates the candidate set.  Returns the 1-based index of the leaf
     the queries route ``b`` to.  Going right skips the left subtrie's
-    leaves, which each trie node carries (``Trie.leaves``).
+    leaves, which each trie node carries (``Trie.leaves``).  A depth-1
+    query that is neither a length ``(0, L)`` nor a bit ``(1, j)`` query
+    raises :class:`AdviceError`.
     """
     if trie.query is None:
         return 1
@@ -74,16 +76,26 @@ def local_label(b: View, x: Sequence[int], trie: Trie) -> int:
         length = len(code)
         while node.query is not None:
             qx, qy = node.query
-            if qx == 1 and not 1 <= qy <= length:
-                raise CodingError(
-                    f"bit index {qy} out of range for bitstring of "
-                    f"length {length}"
-                )
-            if (qx == 0 and length < qy) or (qx == 1 and code[qy - 1] != "1"):
-                node = node.left
+            if qx == 0:
+                if length < qy:
+                    node = node.left
+                    continue
+            elif qx == 1:
+                if not 1 <= qy <= length:
+                    raise CodingError(
+                        f"bit index {qy} out of range for bitstring of "
+                        f"length {length}"
+                    )
+                if code[qy - 1] != "1":
+                    node = node.left
+                    continue
             else:
-                offset += node.left.leaves
-                node = node.right
+                raise AdviceError(
+                    f"depth-1 trie query {node.query} is neither a length "
+                    f"(0, L) nor a bit (1, j) query"
+                )
+            offset += node.left.leaves
+            node = node.right
         return offset + 1
     degree = len(x)
     while node.query is not None:

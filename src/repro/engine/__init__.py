@@ -11,9 +11,10 @@ intern table without bound.  This package provides the shared engine:
 * :func:`run_stream` — the iterator twin for corpora of unknown size:
   consumes a lazy ``(name, graph)`` stream chunk-by-chunk with bounded
   memory, yielding the identical records (:mod:`repro.engine.stream`);
-* :mod:`repro.engine.store` — the append-only canonical-JSONL result
-  store behind ``repro sweep --out/--resume``: records keyed by
-  ``(name, task)``, interrupted sweeps resume to a byte-identical file;
+* :mod:`repro.engine.store` — ``open_result_store``, the one way to open
+  the live result store behind ``repro sweep --out/--resume``: a
+  warehouse dataset whose records are keyed by ``(name, task)``, so an
+  interrupted sweep resumes to a byte-identical JSONL export;
 * :mod:`repro.engine.tasks` — the registry of named experiments (``elect``,
   ``advice``, ``index``, ``messages``, ``ablation``, and the multi-record,
   parameterized ``conformance``); workers receive task *names*, never
@@ -42,13 +43,7 @@ from repro.engine.records import (
     records_table,
     records_to_jsonl,
 )
-from repro.engine.store import (
-    ResultStore,
-    StoreError,
-    load_records,
-    open_result_store,
-    record_key,
-)
+from repro.engine.store import StoreError, open_result_store, record_key
 from repro.engine.stream import (
     DEFAULT_STREAM_CHUNK_SIZE,
     STREAM_WINDOW_PER_WORKER,
@@ -65,9 +60,7 @@ from repro.engine.tasks import (
 __all__ = [
     "DEFAULT_STREAM_CHUNK_SIZE",
     "STREAM_WINDOW_PER_WORKER",
-    "ResultStore",
     "StoreError",
-    "load_records",
     "open_result_store",
     "record_key",
     "run_stream",

@@ -1,15 +1,13 @@
-"""The persistent result store: append-only canonical JSONL, resumable.
+"""The result store's keys, and the one way to open a live store.
 
-A store file holds one engine record per line in the canonical JSON of
-:mod:`repro.engine.records` (sorted keys, compact separators), appended
-in corpus order and flushed per record.  Records are keyed by
+A sweep appends engine records in corpus order to a warehouse dataset
+(:class:`repro.warehouse.store.WarehouseStore`).  Records are keyed by
 ``(name, task)`` — corpus entry names are unique within a stream by the
-registry's naming contract — which gives the resume semantics:
-
-* ``ResultStore(path)`` starts a fresh file (truncating any old one);
-* ``ResultStore(path, resume=True)`` loads the keys already on disk so a
-  sweep can skip them (:func:`repro.analysis.sweep.sweep_to_store` is
-  the filter-and-append loop), then appends the rest.
+registry's naming contract — which gives the resume semantics: a fresh
+store starts an empty dataset, and ``resume=True`` loads the keys
+already committed so a sweep can skip them
+(:func:`repro.analysis.sweep.sweep_to_store` is the filter-and-append
+loop).
 
 Record groups
     Multi-record tasks (:mod:`repro.engine.tasks`) append several
@@ -17,39 +15,22 @@ Record groups
     then a summary whose ``name`` equals the entry name.  A record
     *terminates a group* iff it has no ``entry`` field or its ``entry``
     equals its ``name`` — so for single-record tasks every record is its
-    own group and nothing changes.
+    own group.  A group commits as one transaction, so a kill leaves
+    only whole groups and a resumed sweep re-runs a partial entry in
+    full.
 
-Byte-identity under resume
-    A sweep appends records in deterministic corpus order, so an
-    interrupted run leaves a *prefix* of the uninterrupted file (plus at
-    most one torn line from a kill mid-write, and at most one trailing
-    *unterminated group* from a kill mid-entry).  Resume repairs both by
-    truncating to the last group-terminating record; the resumed run
-    skips exactly the surviving keys and appends the remaining records
-    in the same order — the merged file is byte-identical to an
-    uninterrupted run.  Asserted in ``tests/test_engine_store.py`` and
-    in CI's kill/resume smoke jobs.
-
-Corruption beyond the torn tail (an unparsable line *followed by* more
-lines) is never repaired silently: it raises :class:`StoreError`, since
-dropping interior records would violate the prefix invariant.
-
-Backends
-    The JSONL file is one of two backends.  :func:`open_result_store`
-    dispatches on the path: a warehouse extension selects the indexed
-    sqlite backend (:mod:`repro.warehouse.store`), where resume is a key
-    query and group atomicity is transactional; the JSONL format remains
-    the import/export wire format either way (``repro warehouse
-    import|export`` round-trips it byte-identically).
+JSONL is the store's import/export format, not a live backend: ``repro
+warehouse export DB DATASET FILE`` writes a dataset's canonical lines,
+byte-identical to an uninterrupted run's, and ``repro warehouse import
+DB FILE --dataset DATASET`` loads a JSONL store written before the
+warehouse existed.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from typing import Iterator, Set, Tuple
+from typing import Tuple
 
-from repro.engine.records import Record, record_to_json
+from repro.engine.records import Record
 from repro.errors import StoreError
 
 #: A record's identity in a store: (corpus entry name, task name).
@@ -67,110 +48,18 @@ def record_key(record: Record) -> StoreKey:
         ) from None
 
 
-class ResultStore:
-    """Append-only JSONL store with resume bookkeeping.
-
-    Use as a context manager; ``append`` writes one canonical line and
-    flushes, so a killed process loses at most the line being written
-    (which the next resume truncates away).
-    """
-
-    def __init__(self, path: str, resume: bool = False):
-        self.path = path
-        self.done: Set[StoreKey] = set()
-        if resume:
-            self._load_and_repair()
-            self._fh = open(path, "a", encoding="utf-8")
-        else:
-            self._fh = open(path, "w", encoding="utf-8")
-
-    def _load_and_repair(self) -> None:
-        """Read existing keys; truncate a torn final line (kill mid-write)
-        and a trailing unterminated record group (kill mid-entry).
-
-        Streams the file one line at a time — resume repair is O(longest
-        line) in memory, never O(file), because stores can be far larger
-        than memory (that is why they exist)."""
-        if not os.path.exists(self.path):
-            return
-        valid_end = 0  # after the last parsable newline-terminated line
-        group_end = 0  # after the last group-terminating record
-        pending: list = []  # keys of the (possibly unterminated) open group
-        with open(self.path, "rb") as fh:
-            lineno = 0
-            for line in fh:
-                lineno += 1
-                if not line.endswith(b"\n"):
-                    break  # torn tail: no terminator, nothing follows
-                try:
-                    record = json.loads(line.decode("utf-8"))
-                    key = record_key(record)
-                except (UnicodeDecodeError, ValueError, StoreError):
-                    # invalid JSON, or valid JSON that is not an engine
-                    # record: repairable only as the final line
-                    if any(rest.strip() for rest in fh):
-                        raise StoreError(
-                            f"store file '{self.path}' is corrupt at line "
-                            f"{lineno}: an unparsable record is followed by "
-                            f"further records (only a torn final line is "
-                            f"repairable)"
-                        ) from None
-                    break  # torn tail that happens to contain a newline
-                pending.append(key)
-                valid_end += len(line)
-                if record.get("entry", record["name"]) == record["name"]:
-                    # group terminator: the whole group is durable
-                    self.done.update(pending)
-                    pending.clear()
-                    group_end = valid_end
-        # anything past group_end is a torn line from a kill mid-write or
-        # the sub-records of a group whose summary never made it — either
-        # way a suffix the resumed sweep will regenerate in full
-        if group_end != os.path.getsize(self.path):
-            with open(self.path, "r+b") as fh:
-                fh.truncate(group_end)
-
-    def __contains__(self, key: StoreKey) -> bool:
-        return key in self.done
-
-    def __len__(self) -> int:
-        return len(self.done)
-
-    def append(self, record: Record) -> None:
-        """Write one record as a canonical JSON line and flush."""
-        self._fh.write(record_to_json(record) + "\n")
-        self._fh.flush()
-        self.done.add(record_key(record))
-
-    def close(self) -> None:
-        self._fh.close()
-
-    def __enter__(self) -> "ResultStore":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def load_records(path: str) -> Iterator[Record]:
-    """Read a store back lazily, one record at a time — stores can be
-    far larger than memory (that is why they exist).  Accepts either
-    backend: a JSONL file, or a warehouse database (any dataset's result
-    records, in append order)."""
+def check_store_path(path: str) -> None:
+    """Refuse a store path that is not a warehouse database, naming the
+    JSONL import and export commands; nothing is opened or created."""
     from repro.warehouse.db import is_warehouse_path
 
-    if is_warehouse_path(path):
-        from repro.warehouse.db import Warehouse
-
-        with Warehouse(path) as wh:
-            for dataset, kind, _count in wh.datasets():
-                if kind == "result":
-                    yield from wh.iter_records(dataset)
-        return
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                yield json.loads(line)
+    if not is_warehouse_path(path):
+        raise StoreError(
+            f"store path '{path}' is not a warehouse database (.sqlite, "
+            f".db); write JSONL with `repro warehouse export DB DATASET "
+            f"{path}`, and resume a JSONL store after `repro warehouse "
+            f"import DB {path} --dataset DATASET`"
+        )
 
 
 def open_result_store(
@@ -179,20 +68,11 @@ def open_result_store(
     dataset: str = "sweep",
     family=None,
 ):
-    """Open the right result-store backend for ``path``.
+    """Open ``dataset`` of the warehouse at ``path`` as a result store
+    (a :class:`repro.warehouse.store.WarehouseStore`); a path without a
+    warehouse extension raises :class:`StoreError` (see
+    :func:`check_store_path`)."""
+    check_store_path(path)
+    from repro.warehouse.store import WarehouseStore
 
-    A warehouse extension (``.sqlite``/``.sqlite3``/``.db``/
-    ``.warehouse``) selects :class:`repro.warehouse.store.WarehouseStore`
-    (resume = a key query, groups = transactions, and corpus graphs
-    registered for join-warming); anything else is the classic JSONL
-    :class:`ResultStore`, which remains the import/export wire format.
-    ``dataset`` and ``family`` only apply to the warehouse backend.
-    """
-    from repro.warehouse.db import is_warehouse_path
-
-    if is_warehouse_path(path):
-        from repro.warehouse.store import WarehouseStore
-
-        return WarehouseStore(path, dataset=dataset, resume=resume,
-                              family=family)
-    return ResultStore(path, resume=resume)
+    return WarehouseStore(path, dataset=dataset, resume=resume, family=family)

@@ -54,8 +54,9 @@ class CorpusError(ReproError):
 
 
 class StoreError(EngineError):
-    """A result store file is unreadable or corrupt beyond the repairable
-    truncated-tail case (see :mod:`repro.engine.store`)."""
+    """A result store path is not a warehouse database, a warehouse is
+    unreadable, or an import file is not an intact store (see
+    :mod:`repro.engine.store` and :mod:`repro.warehouse`)."""
 
 
 class ServiceError(ReproError):

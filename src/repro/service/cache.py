@@ -47,7 +47,7 @@ from repro.errors import ServiceError
 #: A cache entry's identity: (canonical fingerprint, engine task name).
 CacheKey = Tuple[str, str]
 
-#: Tasks a ResultStore record can be warmed from: single-record tasks
+#: Tasks a sweep's result record can be warmed from: single-record tasks
 #: whose fields are label invariants — except ``elect``'s leader, which
 #: the warmer translates through the canonical relabeling.
 WARMABLE_TASKS = ("advice", "elect", "index", "quotient")

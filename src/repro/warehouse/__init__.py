@@ -1,11 +1,8 @@
 """The results warehouse: one indexed sqlite store under every producer.
 
-Four result formats grew up independently in this repository — engine
-:class:`~repro.engine.store.ResultStore` JSONL (sweeps), conformance
-stores, the service cache JSONL with its offset index, and the
-``BENCH_*.json`` perf records — joined only by ad-hoc full-file scans.
-This package puts one content-addressed, indexed sqlite database under
-all of them:
+Sweeps, conformance runs, the service cache and the ``BENCH_*.json``
+perf records all persist to one content-addressed, indexed sqlite
+database; their JSONL/JSON files are its import/export formats:
 
 * :mod:`repro.warehouse.db` — the :class:`Warehouse` itself: WAL-mode
   sqlite, one ``records`` table (unique on ``(fingerprint, task)`` per
@@ -14,25 +11,24 @@ all of them:
   table joining corpus entry names to their content addresses, and a
   ``runs`` table of provenance rows (env fingerprint, schema version,
   timestamps);
-* :mod:`repro.warehouse.store` — :class:`WarehouseStore`, the
-  drop-in result-store backend where resume is a key query and record
-  groups commit as transactions (SIGKILL-convergent, like the JSONL
-  store's torn-tail repair);
-* :mod:`repro.warehouse.io` — the JSONL/JSON files demoted to
-  import/export formats with byte-identical round-trip, plus
-  ``register_corpus_graphs`` for migrating pre-warehouse stores;
+* :mod:`repro.warehouse.store` — :class:`WarehouseStore`, the one live
+  result store, where resume is a key query and record groups commit as
+  transactions (a SIGKILL leaves only whole groups);
+* :mod:`repro.warehouse.io` — the JSONL/JSON import/export formats with
+  byte-identical round-trip, plus ``register_corpus_graphs`` for
+  migrating pre-warehouse stores;
 * :mod:`repro.warehouse.trend` — the cross-run bench trajectory behind
   ``repro report --trend``.
 
 The record layer (canonical JSON, :mod:`repro.engine.records`) stays the
-single wire format: the warehouse stores the exact text and every
+single wire format: the warehouse stores the exact text, so every
 byte-identity invariant (resume parity, warm-equals-cold service
-answers, golden regressions) holds on this backend too — re-proven in
+answers, golden regressions) holds on the exported bytes — proven in
 ``tests/test_warehouse.py``.
 
 CLI: ``repro warehouse import|export|trend|register|info``; ``repro
-sweep`` / ``repro conformance`` ``--out`` accept a warehouse path (by
-extension) directly, and ``repro serve --cache`` takes nothing else.
+sweep --out``, ``repro conformance --out`` and ``repro serve --cache``
+take a warehouse path (by extension) and refuse anything else.
 """
 
 from repro.warehouse.db import (

@@ -1,14 +1,10 @@
 """The results warehouse: one indexed sqlite store under everything.
 
-Before this module the repository produced four bespoke result formats —
-sweep/conformance :class:`~repro.engine.store.ResultStore` JSONL files,
-the service's cache JSONL with its byte-offset index, and the
-``BENCH_*.json`` perf records — joined only by ad-hoc full-file scans
-(warming the service re-streamed entire corpora to join records by
-name).  :class:`Warehouse` replaces the *storage* layer of all four with
-a single sqlite database while keeping the canonical-JSON record text of
-:mod:`repro.engine.records` as the one wire format: every row stores the
-exact line an export writes back, so the JSONL/JSON files are demoted to
+:class:`Warehouse` is the storage layer of sweep and conformance
+results, the service cache and the ``BENCH_*.json`` perf records: a
+single sqlite database that keeps the canonical-JSON record text of
+:mod:`repro.engine.records` as the one wire format.  Every row stores
+the exact line an export writes back, so the JSONL/JSON files are
 import/export formats with byte-identical round-trip.
 
 Schema (``repro-warehouse/1``)
@@ -41,11 +37,9 @@ Schema (``repro-warehouse/1``)
 Atomicity
     WAL journal mode with explicit transactions.  A record *group*
     (multi-record tasks: sub-records then their summary) commits as one
-    transaction, so a SIGKILL at any point leaves only whole groups —
-    the transactional analog of the JSONL store's torn-tail repair, with
-    the repair done by sqlite's rollback journal instead of truncation.
-    Resume is then a key query (``SELECT name, task``), never a file
-    replay.
+    transaction, so a SIGKILL at any point leaves only whole groups:
+    sqlite's rollback journal discards the open one on the next
+    connection.  Resume is then a key query (``SELECT name, task``).
 
 Determinism
     Timestamps live only in ``runs``; ``records`` rows are pure
@@ -66,7 +60,7 @@ from repro.errors import StoreError
 SCHEMA_VERSION = "repro-warehouse/1"
 
 #: File extensions recognized as warehouse databases (everything else is
-#: a JSONL store to the store factory, and refused by the service cache).
+#: refused by the result-store factory and by the service cache).
 WAREHOUSE_EXTENSIONS = (".sqlite", ".sqlite3", ".db", ".warehouse")
 
 #: Row shapes in the ``records`` table.
@@ -126,8 +120,8 @@ CREATE INDEX IF NOT EXISTS telemetry_by_run ON telemetry(run_id, kind, name);
 
 def is_warehouse_path(path: Optional[str]) -> bool:
     """True if ``path`` names a warehouse database (by extension) — the
-    dispatch rule of :func:`repro.engine.store.open_result_store` and the
-    service cache, documented in DESIGN.md."""
+    rule by which :func:`repro.engine.store.open_result_store` and the
+    service cache accept a path, documented in DESIGN.md."""
     if not path:
         return False
     return os.path.splitext(path)[1].lower() in WAREHOUSE_EXTENSIONS
@@ -237,7 +231,7 @@ class Warehouse:
     # ------------------------------------------------------------------
     def result_keys(self, dataset: str) -> Set[Tuple[str, str]]:
         """Every durable ``(name, task)`` key of a dataset — the resume
-        query that replaces the JSONL full-file replay."""
+        query."""
         rows = self._conn.execute(
             "SELECT name, task FROM records WHERE dataset=? AND kind='result'",
             (dataset,),
@@ -245,8 +239,8 @@ class Warehouse:
         return set(rows)
 
     def clear_dataset(self, dataset: str) -> None:
-        """Drop a dataset's records and graph registrations (the
-        warehouse analog of ``ResultStore(path)`` truncating its file)."""
+        """Drop a dataset's records and graph registrations (what a
+        fresh, non-resumed store does first)."""
         self._conn.execute("BEGIN IMMEDIATE")
         try:
             self._conn.execute(
@@ -271,8 +265,7 @@ class Warehouse:
         ``rows`` are ``(name, task, entry, record_json)`` in append
         order; ``graph_rows`` are ``(name, fingerprint, to_canonical_json)``
         corpus registrations that must land with the group.  A SIGKILL
-        anywhere inside rolls the whole group back on the next open —
-        the transactional torn-tail repair.
+        anywhere inside rolls the whole group back on the next open.
         """
         self._conn.execute("BEGIN IMMEDIATE")
         try:

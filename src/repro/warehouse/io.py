@@ -4,8 +4,10 @@ The warehouse stores every record as the exact canonical-JSON text the
 legacy files carry, so the demotion of those files to import/export
 formats is lossless by construction:
 
-* a **result store** (``repro sweep --out FILE``) imports line-by-line
-  into one dataset, group-atomically, and exports back byte-identical;
+* a **result store** (the JSONL export of a ``repro sweep --out``
+  dataset, or a store written before the warehouse existed) imports
+  line-by-line into one dataset, group-atomically, and exports back
+  byte-identical;
 * a **service cache** file imports its content-addressed envelopes under
   the same ``(fingerprint, task)`` uniqueness the live cache enforces;
 * a **BENCH_<scenario>.json** record imports under a run row and exports
@@ -96,8 +98,8 @@ def _import_store(wh: Warehouse, path: str, dataset: str, run_id: int) -> int:
             except (ValueError, StoreError) as exc:
                 raise StoreError(
                     f"{path}:{lineno}: not an engine record ({exc}); "
-                    f"imports require intact stores — resume the sweep to "
-                    f"repair a torn tail first"
+                    f"imports require intact stores — trim the file to its "
+                    f"last complete record group first"
                 ) from None
             name = record["name"]
             group.append(
@@ -110,8 +112,8 @@ def _import_store(wh: Warehouse, path: str, dataset: str, run_id: int) -> int:
     if group:
         raise StoreError(
             f"'{path}' ends in an unterminated record group "
-            f"({len(group)} sub-records with no summary); resume the sweep "
-            f"to complete it before importing"
+            f"({len(group)} sub-records with no summary); trim the file to "
+            f"its last complete record group before importing"
         )
     return imported
 
@@ -209,9 +211,10 @@ def import_file(
 def export_dataset(wh: Warehouse, dataset: str, path: str) -> int:
     """Write a result/cache dataset back to its JSONL wire format.
 
-    The written bytes equal the file the live JSONL backend would have
-    produced — and, for an imported dataset, the imported file itself
-    (the round-trip gate CI enforces on the golden stores).
+    The written bytes are the canonical record lines in append order:
+    for a swept dataset, ``records_to_jsonl`` of an uninterrupted run,
+    and for an imported dataset, the imported file itself (the
+    round-trip gate CI enforces on the golden stores).
     """
     kinds = {kind for ds, kind, _count in wh.datasets() if ds == dataset}
     if not kinds:

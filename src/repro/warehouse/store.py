@@ -1,31 +1,26 @@
-"""The warehouse backend of the result store: same discipline, indexed.
+"""The live result store: one warehouse dataset, appended group by group.
 
-:class:`WarehouseStore` is interface-compatible with
-:class:`repro.engine.store.ResultStore` (``append`` / ``__contains__`` /
-``__len__`` / context manager), so :func:`repro.analysis.sweep.
-sweep_to_store` and both streaming CLI commands run on either backend
-unchanged.  The differences are exactly the ones the warehouse exists
-for:
+:class:`WarehouseStore` is what :func:`repro.engine.open_result_store`
+returns, and what :func:`repro.analysis.sweep.sweep_to_store` and both
+streaming CLI commands (``repro sweep --out``, ``repro conformance
+--out``) write into:
 
 * **resume is a key query** — opening with ``resume=True`` runs one
-  ``SELECT name, task`` over the dataset instead of replaying (and
-  repairing) a JSONL file;
+  ``SELECT name, task`` over the dataset;
 * **group atomicity is transactional** — sub-records of a multi-record
   task are buffered and committed together with their summary, so a
   SIGKILL leaves only whole groups (sqlite rolls back the open
-  transaction on the next connection; the JSONL store's torn-tail
-  truncation has no analog to perform);
-* **graphs register alongside records** — when the caller supplies the
-  corpus graph (:meth:`register_graph`), its content address lands in
-  the ``graphs`` table in the same commit as the entry's group, turning
-  later service warming into a join query.
+  transaction on the next connection);
+* **graphs register alongside records** — :meth:`register_graph` puts
+  the corpus graph's content address in the ``graphs`` table in the
+  same commit as the entry's group, turning later service warming into
+  a join query.
 
-Byte-identity under resume carries over: records insert in corpus order,
-a kill leaves a committed prefix of whole groups, and a resumed run
-appends exactly the missing suffix — so the dataset's JSONL *export*
-(:func:`repro.warehouse.io.export_dataset`) is byte-identical to the
-export of an uninterrupted run, and to the JSONL file a plain
-``ResultStore`` sweep of the same corpus would have written.
+Byte-identity under resume: records insert in corpus order, a kill
+leaves a committed prefix of whole groups, and a resumed run appends
+exactly the missing suffix — so the dataset's JSONL *export*
+(:func:`repro.warehouse.io.export_dataset`) is byte-identical to
+``records_to_jsonl`` of an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -43,28 +38,18 @@ FamilySpec = Union[None, str, Callable[[str], Optional[str]]]
 
 
 class WarehouseStore:
-    """Append-only result store over one warehouse dataset.
-
-    ``warehouse`` may be a path (opened and owned by this store) or an
-    existing :class:`~repro.warehouse.db.Warehouse` (shared; not closed
-    by :meth:`close`).
-    """
+    """Append-only result store over one dataset of the warehouse at
+    ``path``; :meth:`close` closes the warehouse."""
 
     def __init__(
         self,
-        warehouse: Union[str, Warehouse],
+        path: str,
         dataset: str = "sweep",
         resume: bool = False,
         family: FamilySpec = None,
-        run_label: Optional[str] = None,
     ):
-        if isinstance(warehouse, Warehouse):
-            self.warehouse = warehouse
-            self._owns_warehouse = False
-        else:
-            self.warehouse = Warehouse(warehouse)
-            self._owns_warehouse = True
-        self.path = self.warehouse.path
+        self.warehouse = Warehouse(path)
+        self.path = path
         self.dataset = dataset
         self._family = family
         self.done: Set[StoreKey] = set()
@@ -73,7 +58,7 @@ class WarehouseStore:
         else:
             self.warehouse.clear_dataset(dataset)
         self._run_id = self.warehouse.begin_run(
-            "resume" if resume else "sweep", run_label or dataset
+            "resume" if resume else "sweep", dataset
         )
         #: open group: rows not yet terminated by their summary record
         self._pending: List[Tuple[str, str, Optional[str], str]] = []
@@ -86,9 +71,6 @@ class WarehouseStore:
             return self._family(name)
         return self._family
 
-    # ------------------------------------------------------------------
-    # the ResultStore interface
-    # ------------------------------------------------------------------
     def __contains__(self, key: StoreKey) -> bool:
         return key in self.done
 
@@ -122,14 +104,12 @@ class WarehouseStore:
             self._pending_keys.clear()
 
     def close(self) -> None:
-        # an unterminated group is the in-memory analog of the JSONL
-        # store's torn tail: it never became durable, and the next
-        # resume will re-run its entry in full
+        # an unterminated group never became durable: the next resume
+        # re-runs its entry in full
         self._pending.clear()
         self._pending_keys.clear()
         self.warehouse.finish_run(self._run_id)
-        if self._owns_warehouse:
-            self.warehouse.close()
+        self.warehouse.close()
 
     def __enter__(self) -> "WarehouseStore":
         return self
@@ -137,14 +117,11 @@ class WarehouseStore:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # ------------------------------------------------------------------
-    # the warehouse extras
-    # ------------------------------------------------------------------
     def register_graph(self, name: str, graph) -> None:
         """Record ``name``'s content address (fingerprint and canonical
         relabeling), to be committed atomically with the entry's record
-        group — the hook :func:`~repro.analysis.sweep.sweep_to_store`
-        calls when its store supports it."""
+        group; :func:`~repro.analysis.sweep.sweep_to_store` calls it for
+        every entry it runs."""
         from repro.graphs.canonical import canonical_form
 
         form = canonical_form(graph)

@@ -123,18 +123,33 @@ class TestCorpusAndStreamingSweep:
         assert "feasible" in out and "tori-s2-00000" in out
 
     def test_sweep_out_and_resume(self, tmp_path, capsys):
-        path = tmp_path / "store.jsonl"
+        path = str(tmp_path / "store.sqlite")
         spec = "caterpillars:8,seed=3"
+
+        def exported():
+            out = tmp_path / "export.jsonl"
+            assert main(["warehouse", "export", path, "sweep", str(out)]) == 0
+            return out.read_bytes()
+
         assert main(["sweep", "--corpus", spec, "--task", "index",
-                     "--out", str(path)]) == 0
-        first = path.read_bytes()
-        assert first.count(b"\n") == 8
+                     "--out", path]) == 0
         assert "8 records appended" in capsys.readouterr().out
+        first = exported()
+        assert first.count(b"\n") == 8
         # resume over a complete store is a no-op and keeps the bytes
         assert main(["sweep", "--corpus", spec, "--task", "index",
-                     "--out", str(path), "--resume"]) == 0
+                     "--out", path, "--resume"]) == 0
         assert "0 records appended" in capsys.readouterr().out
-        assert path.read_bytes() == first
+        assert exported() == first
+
+    def test_sweep_out_refuses_a_jsonl_path(self, tmp_path, capsys):
+        path = tmp_path / "store.jsonl"
+        assert main(["sweep", "--corpus", "tori:2", "--task", "index",
+                     "--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "repro warehouse export" in captured.err
+        assert "task =" not in captured.out
+        assert not path.exists()
 
     def test_resume_without_out_is_an_error(self, capsys):
         assert main(["sweep", "--corpus", "tori:2", "--resume"]) == 2

@@ -1,8 +1,6 @@
 """The conformance subsystem: schedulers, the algorithm registry, the
 differential oracle, multi-record engine plumbing, and the CLI."""
 
-import json
-
 import pytest
 
 from repro.cli import main as cli_main
@@ -19,14 +17,12 @@ from repro.core.elect import ElectAlgorithm
 from repro.corpus import iter_corpus
 from repro.engine import (
     EngineConfig,
-    ResultStore,
     get_task,
-    load_records,
+    open_result_store,
     records_to_jsonl,
     run_experiments,
     run_stream,
 )
-from repro.engine.records import record_to_json
 from repro.errors import (
     ConformanceError,
     EngineError,
@@ -421,55 +417,60 @@ class TestEnginePlumbing:
         entries = [r["entry"] for r in serial]
         assert entries == sorted(entries, key=entries.index)
 
-    def test_store_truncates_unterminated_group(self, tmp_path):
-        path = str(tmp_path / "store.jsonl")
-        group = [
-            {"task": "t", "name": "e1/a", "entry": "e1", "x": 1},
-            {"task": "t", "name": "e1", "entry": "e1", "x": 2},
-            {"task": "t", "name": "e2/a", "entry": "e2", "x": 3},
-        ]
-        with open(path, "w", encoding="utf-8") as fh:
-            for r in group:
-                fh.write(record_to_json(r) + "\n")
-        with ResultStore(path, resume=True) as store:
-            assert ("e1", "t") in store
-            assert ("e1/a", "t") in store
-            assert ("e2/a", "t") not in store  # truncated with its group
-        lines = [l for l in open(path, encoding="utf-8") if l.strip()]
-        assert len(lines) == 2
-        assert json.loads(lines[-1])["name"] == "e1"
-
     def test_store_resume_is_byte_identical_after_group_tear(self, tmp_path):
+        """A store closed before a group's summary record commits only
+        the groups before it; the resumed sweep re-runs that entry in
+        full and the export equals the uninterrupted records."""
         from repro.analysis.sweep import sweep_to_store
 
         task = "conformance:schedules=1,seed=0"
+        corpus = list(iter_corpus("lifts:3"))
+        records = run_experiments(corpus, task)
+        first_group = next(
+            i + 1 for i, r in enumerate(records) if r["entry"] == r["name"]
+        )
+        assert records[first_group]["entry"] != records[first_group]["name"]
 
-        def corpus():
-            return iter_corpus("lifts:3")
-
-        ref_path = str(tmp_path / "ref.jsonl")
-        with ResultStore(ref_path) as store:
-            sweep_to_store(corpus(), task, store)
-        ref = open(ref_path, "rb").read()
-
-        # tear mid-second-group, plus a torn final line
-        torn_path = str(tmp_path / "torn.jsonl")
-        lines = ref.split(b"\n")
-        with open(torn_path, "wb") as fh:
-            fh.write(b"\n".join(lines[:3]) + b"\n" + lines[3][:17])
-        with ResultStore(torn_path, resume=True) as store:
-            sweep_to_store(corpus(), task, store)
-        assert open(torn_path, "rb").read() == ref
+        path = str(tmp_path / "torn.sqlite")
+        with open_result_store(path, dataset="conformance") as store:
+            for r in records[: first_group + 1]:  # tear mid-second-group
+                store.append(r)
+            assert len(store) == first_group
+        with open_result_store(path, resume=True, dataset="conformance") as store:
+            assert len(store) == first_group
+            ran, skipped = sweep_to_store(iter(corpus), task, store)
+        assert (ran, skipped) == (len(records) - first_group, 1)
+        assert _export(tmp_path, path, "conformance") == records_to_jsonl(
+            records
+        )
 
     def test_single_record_stores_unaffected_by_group_logic(self, tmp_path):
-        path = str(tmp_path / "plain.jsonl")
-        with ResultStore(path) as store:
+        path = str(tmp_path / "plain.sqlite")
+        with open_result_store(path) as store:
             for r in run_stream(iter_corpus("lifts:3"), "index", EngineConfig()):
                 store.append(r)
-        data = open(path, "rb").read()
-        with ResultStore(path, resume=True) as store:
+                assert (r["name"], "index") in store  # its own group
+        data = _export(tmp_path, path, "sweep")
+        with open_result_store(path, resume=True) as store:
             assert len(store) == 3
-        assert open(path, "rb").read() == data
+        assert _export(tmp_path, path, "sweep") == data
+
+
+def _export(tmp_path, path, dataset):
+    """A warehouse dataset's JSONL export, as text."""
+    from repro.warehouse import Warehouse, export_dataset
+
+    out = tmp_path / f"{dataset}.export.jsonl"
+    with Warehouse(path) as wh:
+        export_dataset(wh, dataset, str(out))
+    return out.read_text(encoding="utf-8")
+
+
+def _conformance_records(path, dataset="conformance"):
+    from repro.warehouse import Warehouse
+
+    with Warehouse(path) as wh:
+        return list(wh.iter_records(dataset))
 
 
 # ----------------------------------------------------------------------
@@ -477,7 +478,7 @@ class TestEnginePlumbing:
 # ----------------------------------------------------------------------
 class TestConformanceCli:
     def test_cli_clean_run_exits_zero(self, tmp_path, capsys):
-        out = str(tmp_path / "c.jsonl")
+        out = str(tmp_path / "c.sqlite")
         rc = cli_main(
             [
                 "conformance",
@@ -494,25 +495,50 @@ class TestConformanceCli:
         assert rc == 0
         text = capsys.readouterr().out
         assert "zero disagreements" in text
-        assert len(list(load_records(out))) > 2
+        assert len(_conformance_records(out)) > 2
 
     def test_cli_summary_filters_by_task_parameterization(
         self, tmp_path, capsys
     ):
-        """A store holding sweeps of two parameterizations must be
+        """A dataset holding sweeps of two parameterizations must be
         summarized per task string, not double-counted."""
-        out = str(tmp_path / "mixed.jsonl")
+        out = str(tmp_path / "mixed.sqlite")
         base = ["conformance", "--families", "lifts", "--count", "2", "--out", out]
         assert cli_main(base + ["--schedules", "1"]) == 0
         capsys.readouterr()
         assert cli_main(base + ["--schedules", "2", "--resume"]) == 0
         text = capsys.readouterr().out
-        # both sweeps' records are in the file, but the summary counts
+        # both sweeps' records are in the dataset, but the summary counts
         # only the schedules=2 task: 2 entries, not 4
-        assert "2 entries" in text
+        assert "\n2 entries (" in text
         # 2 entries x 2 tasks x 3 records (labeling-scheme, orbit-collapse,
         # summary) per group
-        assert len(list(load_records(out))) == 12
+        assert len(_conformance_records(out)) == 12
+
+    def test_cli_summary_reads_only_its_own_dataset(self, tmp_path, capsys):
+        """Two datasets in one warehouse: each run summarizes the dataset
+        it wrote, not every result record in the file."""
+        out = str(tmp_path / "w.sqlite")
+        base = ["conformance", "--families", "tori", "--count", "2",
+                "--schedules", "1", "--out", out]
+        assert cli_main(base + ["--dataset", "a"]) == 0
+        capsys.readouterr()
+        assert cli_main(base + ["--dataset", "b"]) == 0
+        text = capsys.readouterr().out
+        assert "\n2 entries (" in text
+        assert len(_conformance_records(out, "a")) == len(
+            _conformance_records(out, "b")
+        )
+
+    def test_cli_refuses_a_jsonl_out(self, tmp_path, capsys):
+        out = tmp_path / "c.jsonl"
+        rc = cli_main(["conformance", "--families", "lifts", "--count", "1",
+                       "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "repro warehouse import" in captured.err
+        assert "task =" not in captured.out
+        assert not out.exists()
 
     def test_cli_resume_requires_out(self, capsys):
         rc = cli_main(["conformance", "--resume"])

@@ -1,7 +1,10 @@
 """The persistent result store: canonical append, resume bookkeeping,
-torn-tail repair, and the headline byte-identity contract — an
-interrupted-then-resumed sweep produces the same file, byte for byte, as
-an uninterrupted run."""
+and the headline byte-identity contract — an interrupted-then-resumed
+sweep exports the same bytes as an uninterrupted run.
+
+A partial store is seeded by importing a prefix of the reference's
+lines (``repro warehouse import``), the shape a killed sweep leaves:
+whole record groups in corpus order."""
 
 from __future__ import annotations
 
@@ -11,34 +14,58 @@ import pytest
 
 from repro.analysis.sweep import sweep_to_store
 from repro.corpus import iter_corpus
-from repro.engine import ResultStore, StoreError, load_records, record_key
+from repro.engine import (
+    StoreError,
+    open_result_store,
+    record_key,
+    records_to_jsonl,
+    run_experiments,
+)
+from repro.warehouse import Warehouse, export_dataset, import_file
 
 SPEC = "caterpillars:18,seed=13"
 TASK = "index"
 
 
-def _reference_bytes(tmp_path):
-    path = tmp_path / "reference.jsonl"
-    with ResultStore(str(path)) as store:
-        ran, skipped = sweep_to_store(iter_corpus(SPEC), TASK, store)
-    assert (ran, skipped) == (18, 0)
-    return path.read_bytes()
+def _reference_bytes():
+    """The uninterrupted run's canonical JSON lines."""
+    records = run_experiments(list(iter_corpus(SPEC)), TASK)
+    assert len(records) == 18
+    return records_to_jsonl(records).encode("utf-8")
+
+
+def _seeded_store(tmp_path, lines):
+    """A warehouse whose ``sweep`` dataset holds ``lines``."""
+    prefix = tmp_path / "prefix.jsonl"
+    prefix.write_bytes(b"".join(line + b"\n" for line in lines))
+    wh_path = str(tmp_path / "partial.sqlite")
+    with Warehouse(wh_path) as wh:
+        import_file(wh, str(prefix), dataset="sweep")
+    return wh_path
+
+
+def _export_bytes(tmp_path, wh_path):
+    out = tmp_path / "export.jsonl"
+    with Warehouse(wh_path) as wh:
+        export_dataset(wh, "sweep", str(out))
+    return out.read_bytes()
 
 
 # ----------------------------------------------------------------------
 # basics
 # ----------------------------------------------------------------------
 def test_append_writes_canonical_lines_and_tracks_keys(tmp_path):
-    path = tmp_path / "s.jsonl"
+    path = str(tmp_path / "s.sqlite")
     rec = {"task": "index", "name": "a", "n": 5, "feasible": False}
-    with ResultStore(str(path)) as store:
+    with open_result_store(path) as store:
         store.append(rec)
         assert ("a", "index") in store
         assert len(store) == 1
-    line = path.read_text()
+    line = _export_bytes(tmp_path, path).decode("utf-8")
     assert line == json.dumps(rec, sort_keys=True,
                               separators=(",", ":")) + "\n"
-    assert list(load_records(str(path))) == [rec]
+    with Warehouse(path) as wh:
+        assert list(wh.iter_records("sweep")) == [rec]
 
 
 def test_record_key_requires_engine_fields():
@@ -48,102 +75,39 @@ def test_record_key_requires_engine_fields():
         record_key(42)  # valid JSON, but not even a dict
 
 
-def test_fresh_store_truncates_existing_file(tmp_path):
-    path = tmp_path / "s.jsonl"
-    path.write_text('{"task":"index","name":"old","n":1}\n')
-    with ResultStore(str(path)) as store:
-        assert len(store) == 0
-    assert path.read_text() == ""
-
-
 def test_resume_missing_file_is_fresh(tmp_path):
-    with ResultStore(str(tmp_path / "new.jsonl"), resume=True) as store:
+    with open_result_store(str(tmp_path / "new.sqlite"), resume=True) as store:
         assert len(store) == 0
 
 
 # ----------------------------------------------------------------------
-# resume and repair
+# resume
 # ----------------------------------------------------------------------
 def test_resume_loads_keys_and_skips(tmp_path):
-    reference = _reference_bytes(tmp_path)
-    path = tmp_path / "partial.jsonl"
-    lines = reference.split(b"\n")
-    path.write_bytes(b"\n".join(lines[:10]) + b"\n")
-    with ResultStore(str(path), resume=True) as store:
+    reference = _reference_bytes()
+    path = _seeded_store(tmp_path, reference.split(b"\n")[:10])
+    with open_result_store(path, resume=True) as store:
         assert len(store) == 10
         ran, skipped = sweep_to_store(iter_corpus(SPEC), TASK, store)
     assert (ran, skipped) == (8, 10)
-    assert path.read_bytes() == reference
-
-
-def test_resume_repairs_torn_tail_to_byte_identical(tmp_path):
-    """Kill mid-write: the file ends in half a record.  Resume must
-    truncate the torn line, redo that entry, and still converge to the
-    uninterrupted file byte-for-byte."""
-    reference = _reference_bytes(tmp_path)
-    lines = reference.split(b"\n")
-    for torn in (b'{"na', lines[6][: len(lines[6]) // 2], b"\xff\xfe garbage"):
-        path = tmp_path / "torn.jsonl"
-        path.write_bytes(b"\n".join(lines[:6]) + b"\n" + torn)
-        with ResultStore(str(path), resume=True) as store:
-            assert len(store) == 6
-            ran, skipped = sweep_to_store(iter_corpus(SPEC), TASK, store)
-        assert (ran, skipped) == (12, 6)
-        assert path.read_bytes() == reference
+    assert _export_bytes(tmp_path, path) == reference
 
 
 def test_resume_complete_file_is_a_noop(tmp_path):
-    reference = _reference_bytes(tmp_path)
-    path = tmp_path / "done.jsonl"
-    path.write_bytes(reference)
-    with ResultStore(str(path), resume=True) as store:
+    reference = _reference_bytes()
+    path = _seeded_store(tmp_path, reference.splitlines())
+    with open_result_store(path, resume=True) as store:
         ran, skipped = sweep_to_store(iter_corpus(SPEC), TASK, store)
     assert (ran, skipped) == (0, 18)
-    assert path.read_bytes() == reference
+    assert _export_bytes(tmp_path, path) == reference
 
 
 def test_parallel_resume_matches_serial_reference(tmp_path):
-    """The acceptance criterion end-to-end: interrupted file + parallel
+    """The acceptance criterion end-to-end: interrupted store + parallel
     resumed run == uninterrupted *serial* run, byte for byte."""
-    reference = _reference_bytes(tmp_path)
-    path = tmp_path / "par.jsonl"
-    path.write_bytes(b"\n".join(reference.split(b"\n")[:5]) + b"\n")
-    with ResultStore(str(path), resume=True) as store:
+    reference = _reference_bytes()
+    path = _seeded_store(tmp_path, reference.split(b"\n")[:5])
+    with open_result_store(path, resume=True) as store:
         sweep_to_store(iter_corpus(SPEC), TASK, store, workers=3,
                        chunk_size=2)
-    assert path.read_bytes() == reference
-
-
-def test_interior_corruption_refuses_to_repair(tmp_path):
-    reference = _reference_bytes(tmp_path)
-    lines = reference.split(b"\n")
-    path = tmp_path / "corrupt.jsonl"
-    # `42` is valid JSON but not a record: both corruption shapes must
-    # raise StoreError when followed by further records, not TypeError
-    for bad in (b"not json", b"42"):
-        path.write_bytes(
-            b"\n".join(lines[:3]) + b"\n" + bad + b"\n"
-            + b"\n".join(lines[3:])
-        )
-        with pytest.raises(StoreError, match="corrupt at line 4"):
-            ResultStore(str(path), resume=True)
-
-
-def test_final_non_record_line_is_repaired_as_torn(tmp_path):
-    reference = _reference_bytes(tmp_path)
-    lines = reference.split(b"\n")
-    path = tmp_path / "torn2.jsonl"
-    path.write_bytes(b"\n".join(lines[:5]) + b"\n42\n")
-    with ResultStore(str(path), resume=True) as store:
-        assert len(store) == 5
-        sweep_to_store(iter_corpus(SPEC), TASK, store)
-    assert path.read_bytes() == reference
-
-
-def test_load_records_is_lazy(tmp_path):
-    path = tmp_path / "big.jsonl"
-    path.write_bytes(_reference_bytes(tmp_path))
-    records = load_records(str(path))
-    first = next(records)
-    assert first["task"] == TASK  # a generator, consumable one at a time
-    assert sum(1 for _ in records) == 17
+    assert _export_bytes(tmp_path, path) == reference

@@ -24,6 +24,10 @@ calls it.
   returns the spec's label or raises the spec's exception class.  Every
   depth-1 view of every graph also walks every graph's E1: a foreign view
   whose code is shorter than a ``(1, j)`` query raises ``CodingError``.
+* **Unknown query kinds.**  Where the walk departs from the spec: E1
+  holds only length ``(0, L)`` and bit ``(1, j)`` queries, and a depth-1
+  query of any other kind raises ``AdviceError`` where the spec routed
+  right and returned a label.
 * **Identity.**  ``View.__eq__`` and ``View.__hash__`` are ``object``'s.
 * **Advice.**  A sha256 over ``compute_advice(g).bits`` on 183 feasible
   graphs equals the digest the replaced code gave.
@@ -33,12 +37,13 @@ maps, and 40-entry prefixes of random-trees and caterpillars.
 """
 
 import hashlib
+import re
 
 import pytest
 from hypothesis import given, settings
 
 from repro.coding.nested import decode_e2, encode_e2
-from repro.coding.tries import decode_trie, encode_trie, trie_leaf
+from repro.coding.tries import decode_trie, encode_trie, trie_leaf, trie_node
 from repro.core.advice import (
     compute_advice,
     decode_advice,
@@ -230,6 +235,17 @@ def test_walk_on_a_one_leaf_trie_reads_no_code():
     deep = views_of_graph(lollipop(3, 2), 2)[0]
     assert spec_local_label(deep, (), trie_leaf()) == 1
     assert local_label(deep, (), trie_leaf()) == 1
+
+
+@pytest.mark.parametrize("query", [(2, 0), (7, 99)])
+def test_a_depth1_query_of_an_unknown_kind_raises(query):
+    """A corrupted E1 whose query is neither a length nor a bit query
+    gets an ``AdviceError``, not a label (the spec returns 2 here)."""
+    v = views_of_graph(lollipop(4, 3), 1)[0]
+    trie = trie_node(query, trie_leaf(), trie_leaf())
+    assert spec_local_label(v, (), trie) == 2
+    with pytest.raises(AdviceError, match=re.escape(str(query))):
+        local_label(v, (), trie)
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.engine import ResultStore, run_stream
+from repro.engine import records_to_jsonl, run_stream
 from repro.engine.records import record_to_json
 from repro.engine.tasks import get_task
 from repro.errors import ServiceError
@@ -196,9 +196,8 @@ class TestPersistenceTier:
 class TestWarming:
     def _sweep(self, tmp_path, corpus, task):
         store_path = str(tmp_path / f"store_{task}.jsonl")
-        with ResultStore(store_path) as store:
-            for record in run_stream(iter(corpus), task):
-                store.append(record)
+        with open(store_path, "w", encoding="utf-8") as fh:
+            fh.write(records_to_jsonl(list(run_stream(iter(corpus), task))))
         return store_path
 
     def test_warm_matches_cold_compute_byte_for_byte(self, tmp_path):
@@ -237,8 +236,9 @@ class TestWarming:
     def test_unmatched_and_nonwarmable_records_are_skipped(self, tmp_path):
         corpus = [("a", ring(6)), ("b", ring(8))]
         store = self._sweep(tmp_path, corpus, "index")
-        with ResultStore(store, resume=True) as s:
-            s.append({"task": "messages", "name": "a", "n": 6})  # not warmable
+        not_warmable = {"task": "messages", "name": "a", "n": 6}
+        with open(store, "a", encoding="utf-8") as fh:
+            fh.write(record_to_json(not_warmable) + "\n")
         cache = ResultCache()
         # corpus stream only supplies "a": the record for "b" has no graph
         warmed, skipped = warm_from_stores(cache, [store], iter(corpus[:1]))

@@ -992,11 +992,14 @@ class TestGraphSpecUX:
             ["corpus", "emit", "random-trees:3,seed=4", "--out", str(out)]
         ) == 0
         capsys.readouterr()
-        store = tmp_path / "store.jsonl"
+        store = str(tmp_path / "store.sqlite")
         assert cli_main(
             ["sweep", "--corpus", f"@{out}", "--task", "index",
-             "--out", str(store)]
+             "--out", store]
         ) == 0
-        records = [json.loads(l) for l in open(store) if l.strip()]
+        from repro.warehouse import Warehouse
+
+        with Warehouse(store) as wh:
+            records = list(wh.iter_records("sweep"))
         assert len(records) == 3
         assert all(r["name"].startswith("random-trees-s4-") for r in records)

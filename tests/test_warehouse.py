@@ -1,13 +1,12 @@
 """The results warehouse: one indexed sqlite store under sweeps,
 conformance, the service cache and bench records.
 
-The invariants proven here are the ones the JSONL stores already carry —
-resume byte-identity, group atomicity under SIGKILL, warm-equals-cold
-service answers — re-proven on the warehouse backend, plus the ones only
-a shared indexed store can offer: byte-identical import/export
-round-trips, join-query warming with no corpus re-stream, tiered
-hit metrics, concurrent multi-process writers, and the cross-run bench
-trend."""
+The invariants proven here: resume byte-identity and group atomicity
+under SIGKILL (the export of a killed and resumed sweep equals the
+canonical JSON lines of an uninterrupted run), warm-equals-cold service
+answers, byte-identical import/export round-trips, join-query warming
+with no corpus re-stream, tiered hit metrics, concurrent multi-process
+writers, and the cross-run bench trend."""
 
 from __future__ import annotations
 
@@ -23,7 +22,12 @@ import pytest
 
 from repro.analysis.sweep import sweep_to_store
 from repro.corpus import iter_corpus
-from repro.engine import ResultStore, StoreError, load_records, open_result_store
+from repro.engine import (
+    StoreError,
+    open_result_store,
+    records_to_jsonl,
+    run_experiments,
+)
 from repro.engine.records import record_to_json
 from repro.analysis.bench import warm_from_stores
 from repro.errors import ServiceError
@@ -52,13 +56,11 @@ ENV["PYTHONPATH"] = (
 )
 
 
-def _reference_bytes(tmp_path):
-    """The uninterrupted plain-JSONL sweep: the byte-identity oracle."""
-    path = tmp_path / "reference.jsonl"
-    with ResultStore(str(path)) as store:
-        ran, skipped = sweep_to_store(iter_corpus(SPEC), TASK, store)
-    assert (ran, skipped) == (18, 0)
-    return path.read_bytes()
+def _reference_bytes(spec=SPEC, task=TASK):
+    """The uninterrupted run's canonical JSON lines: the byte-identity
+    oracle."""
+    records = run_experiments(list(iter_corpus(spec)), task)
+    return records_to_jsonl(records).encode("utf-8")
 
 
 def _export_bytes(wh_path, dataset="sweep"):
@@ -81,10 +83,18 @@ def test_is_warehouse_path_by_extension():
 
 
 def test_open_result_store_dispatches(tmp_path):
-    with open_result_store(str(tmp_path / "s.jsonl")) as store:
-        assert isinstance(store, ResultStore)
+    """A warehouse path opens a ``WarehouseStore``; any other path is
+    refused before a file is created, naming the JSONL export and the
+    import that resumes a JSONL store."""
     with open_result_store(str(tmp_path / "s.sqlite")) as store:
         assert isinstance(store, WarehouseStore)
+    for name in ("s.jsonl", "results"):
+        path = tmp_path / name
+        with pytest.raises(StoreError) as info:
+            open_result_store(str(path))
+        assert "repro warehouse export" in str(info.value)
+        assert "repro warehouse import" in str(info.value)
+        assert not path.exists()
 
 
 def test_schema_version_gate(tmp_path):
@@ -105,16 +115,16 @@ def test_store_interface_tracks_keys(tmp_path):
         store.append(rec)
         assert ("a", "index") in store
         assert len(store) == 1
-    assert list(load_records(path)) == [rec]
     with Warehouse(path) as wh:
+        assert list(wh.iter_records("sweep")) == [rec]
         assert wh.integrity_check() == "ok"
 
 
 # ----------------------------------------------------------------------
-# byte-identity: export == plain JSONL sweep, resume convergence
+# byte-identity: export == the canonical lines, resume convergence
 # ----------------------------------------------------------------------
 def test_export_equals_plain_jsonl_sweep(tmp_path):
-    reference = _reference_bytes(tmp_path)
+    reference = _reference_bytes()
     wh_path = tmp_path / "wh.sqlite"
     with open_result_store(str(wh_path)) as store:
         ran, skipped = sweep_to_store(iter_corpus(SPEC), TASK, store)
@@ -123,7 +133,7 @@ def test_export_equals_plain_jsonl_sweep(tmp_path):
 
 
 def test_resume_is_a_key_query_and_converges(tmp_path):
-    reference = _reference_bytes(tmp_path)
+    reference = _reference_bytes()
     wh_path = tmp_path / "wh.sqlite"
     # first pass: interrupt after 10 entries (close with work remaining)
     def first_ten():
@@ -169,19 +179,18 @@ def test_unterminated_group_is_never_durable(tmp_path):
 
 
 def test_multi_record_groups_roundtrip_conformance(tmp_path):
-    """The conformance shape end-to-end on both backends: group-by-group
-    parity, byte for byte."""
+    """The conformance shape end-to-end: the export equals the engine's
+    record groups, byte for byte."""
     from repro.conformance import conformance_task_name
 
     task = conformance_task_name(schedules=2, seed=0)
     spec = "tori:2,seed=0"
-    ref = tmp_path / "conf.jsonl"
-    with ResultStore(str(ref)) as store:
-        sweep_to_store(iter_corpus(spec), task, store)
     wh_path = tmp_path / "conf.sqlite"
     with open_result_store(str(wh_path), dataset="conformance") as store:
         sweep_to_store(iter_corpus(spec), task, store)
-    assert _export_bytes(wh_path, "conformance") == ref.read_bytes()
+    assert _export_bytes(wh_path, "conformance") == _reference_bytes(
+        spec, task
+    )
 
 
 # ----------------------------------------------------------------------
@@ -189,12 +198,10 @@ def test_multi_record_groups_roundtrip_conformance(tmp_path):
 # ----------------------------------------------------------------------
 def test_sigkill_mid_sweep_resumes_byte_identical(tmp_path):
     """Kill -9 a warehouse-backed sweep mid-run; the next open sees only
-    whole committed groups (sqlite's rollback is the torn-tail repair),
-    and the resumed sweep converges to the uninterrupted bytes."""
+    whole committed groups (sqlite rolls back the open transaction), and
+    the resumed sweep converges to the uninterrupted bytes."""
     spec = "caterpillars:300,seed=13"
-    reference = tmp_path / "reference.jsonl"
-    with ResultStore(str(reference)) as store:
-        sweep_to_store(iter_corpus(spec), TASK, store)
+    reference = _reference_bytes(spec)
 
     wh_path = str(tmp_path / "wh.sqlite")
     proc = subprocess.Popen(
@@ -237,7 +244,7 @@ def test_sigkill_mid_sweep_resumes_byte_identical(tmp_path):
     with open_result_store(wh_path, resume=True) as store:
         ran, skipped = sweep_to_store(iter_corpus(spec), TASK, store)
     assert skipped == survivors and ran == 300 - survivors
-    assert _export_bytes(wh_path) == reference.read_bytes()
+    assert _export_bytes(wh_path) == reference
 
 
 # ----------------------------------------------------------------------
@@ -298,7 +305,7 @@ def test_concurrent_process_and_thread_writers(tmp_path):
 # import/export round-trips
 # ----------------------------------------------------------------------
 def test_store_import_export_roundtrip(tmp_path):
-    reference = _reference_bytes(tmp_path)
+    reference = _reference_bytes()
     src = tmp_path / "src.jsonl"
     src.write_bytes(reference)
     wh_path = str(tmp_path / "wh.sqlite")
@@ -444,8 +451,8 @@ def test_register_corpus_graphs_migrates_imported_stores(tmp_path):
 
     corpus = corpus_default(max_n=20)
     store_path = str(tmp_path / "legacy.jsonl")
-    with ResultStore(store_path) as store:
-        sweep_to_store(iter(corpus), "elect", store)
+    with open(store_path, "w", encoding="utf-8") as fh:
+        fh.write(records_to_jsonl(run_experiments(corpus, "elect")))
     wh_path = str(tmp_path / "wh.sqlite")
     with Warehouse(wh_path) as wh:
         import_file(wh, store_path, dataset="legacy")
@@ -552,11 +559,8 @@ class TestWarehouseCLI:
         self._sweep(wh_path)
         out = str(tmp_path / "out.jsonl")
         assert main(["warehouse", "export", wh_path, "sweep", out]) == 0
-        ref = tmp_path / "ref.jsonl"
-        with ResultStore(str(ref)) as store:
-            sweep_to_store(iter_corpus("caterpillars:6,seed=13"), TASK, store)
         with open(out, "rb") as fh:
-            assert fh.read() == ref.read_bytes()
+            assert fh.read() == _reference_bytes("caterpillars:6,seed=13")
         assert main(["warehouse", "info", wh_path]) == 0
         text = capsys.readouterr().out
         assert "sweep" in text and "integrity: ok" in text
@@ -564,12 +568,11 @@ class TestWarehouseCLI:
     def test_import_register_and_labeled_run_grouping(self, tmp_path, capsys):
         from repro.cli import main
 
-        ref = str(tmp_path / "ref.jsonl")
-        with ResultStore(ref) as store:
-            sweep_to_store(iter_corpus("caterpillars:6,seed=13"), "elect", store)
+        ref = tmp_path / "ref.jsonl"
+        ref.write_bytes(_reference_bytes("caterpillars:6,seed=13", "elect"))
         wh_path = str(tmp_path / "wh.sqlite")
         assert main([
-            "warehouse", "import", wh_path, ref,
+            "warehouse", "import", wh_path, str(ref),
             "--dataset", "legacy", "--label", "migration",
         ]) == 0
         assert main([
