@@ -655,11 +655,24 @@ def _cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
+def _existing_warehouse(path: str):
+    """Open the warehouse of a read-only command.  sqlite would create a
+    missing database on connect, so a mistyped path is refused before
+    any file (database, ``-wal`` or ``-shm``) is made."""
+    import os
+
+    from repro.warehouse import Warehouse
+
+    if not os.path.exists(path):
+        raise ReproError(f"warehouse '{path}' does not exist")
+    return Warehouse(path)
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     if args.trend:
-        from repro.warehouse import Warehouse, render_trend
+        from repro.warehouse import render_trend
 
-        with Warehouse(args.trend) as wh:
+        with _existing_warehouse(args.trend) as wh:
             text = render_trend(wh) + "\n"
     else:
         from repro.analysis.report import generate_report
@@ -707,7 +720,7 @@ def _cmd_warehouse(args: argparse.Namespace) -> int:
         return 0
 
     if args.warehouse_command == "export":
-        with Warehouse(args.db) as wh:
+        with _existing_warehouse(args.db) as wh:
             if args.bench_dir:
                 for path in export_bench(wh, args.bench_dir, run_id=args.run):
                     print(path)
@@ -722,7 +735,7 @@ def _cmd_warehouse(args: argparse.Namespace) -> int:
         return 0
 
     if args.warehouse_command == "trend":
-        with Warehouse(args.db) as wh:
+        with _existing_warehouse(args.db) as wh:
             print(render_trend(wh))
         return 0
 
@@ -736,7 +749,7 @@ def _cmd_warehouse(args: argparse.Namespace) -> int:
     # info
     from repro.analysis import format_table
 
-    with Warehouse(args.db) as wh:
+    with _existing_warehouse(args.db) as wh:
         rows = wh.datasets()
         if rows:
             print(format_table(["dataset", "kind", "records"], rows))
@@ -833,9 +846,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 def _cmd_obs(args: argparse.Namespace) -> int:
     from repro.obs import write_chrome_trace
-    from repro.warehouse import Warehouse
 
-    with Warehouse(args.db) as wh:
+    with _existing_warehouse(args.db) as wh:
         rows = wh.telemetry_rows(run_id=args.run, kind="span")
     events = [row["value"] for row in rows]
     if not events:

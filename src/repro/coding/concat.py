@@ -17,7 +17,8 @@ Nested codes in one pass.  The outer ``Concat`` doubles every digit of a
 writes its separators as ``01`` with each digit repeated ``2**k`` times,
 and its components at level k + 1.  The advice codes
 (:mod:`repro.coding.tries`, :mod:`repro.coding.nested`,
-:mod:`repro.coding.trees`) write every integer code once, directly at its
+:mod:`repro.coding.trees`) and the strict wire's view records
+(:mod:`repro.views.wire`) write every integer code once, directly at its
 level, through the tables of :func:`nesting_levels`, and join the parts
 once: the same bits as nested :func:`concat_bits` calls, without
 re-doubling any intermediate string.
@@ -42,7 +43,8 @@ def nesting_levels(count: int) -> List[Level]:
     Level k repeats each digit ``2**k`` times.  A ``Concat`` at level k
     writes its separators with ``levels[k][0]`` and its components at
     level k + 1; an integer code at level k is ``uint_at(x,
-    levels[k][1])``.  Built per encode call."""
+    levels[k][1])``.  The advice codes build them per encode call; the
+    view wire codec and the strict message plane once, at import."""
     levels: List[Level] = []
     for k in range(count):
         zeros, ones = "0" * (1 << k), "1" * (1 << k)

@@ -12,13 +12,21 @@ This is the strongest form of the information-boundary guarantee: no
 shared-memory channel exists at all.
 
 The round-level message plane (:class:`MessagePlane`) is the strict
-path's dedup layer: the sync engine's flat-array delivery already hands
-one ``Bits`` object to every receiver of a payload, and the plane closes
-the loop on the codec side — each distinct ``(port, View)`` outgoing
-message is encoded once and each distinct wire string decoded once per
-run, no matter how many nodes send or receive it in a round.
-:func:`wire_wrapped` shares one plane across all nodes of a run; its hit
-counters feed the strict bench's breakdown records.  The pre-optimization
+path's codec and dedup layer: the sync engine's flat-array delivery
+already hands one ``Bits`` object to every receiver of a payload, and the
+plane closes the loop on the codec side — each distinct ``(port, View)``
+outgoing message is encoded once and each distinct wire string decoded
+once per run, no matter how many nodes send or receive it in a round.
+A message is written at its nesting level: the ``0001`` header, the
+port's doubled digits, ``01``, then the view's doubled wire, which the
+codec writes once per view.  A received message is split at its header:
+the port digits are scanned to their ``01``, one comparison of the view
+field's two stride halves checks that it is all doubled pairs, and the
+un-doubled half goes to :func:`~repro.views.wire.decode_view_wire`.  A
+message failing any check gets the full parse, and so its error.
+:func:`wire_wrapped` shares one plane across all nodes of a run, and a
+:class:`WireWrapped` built without one makes its own; the hit counters
+feed the strict bench's breakdown records.  The pre-optimization
 per-message path survives as :func:`seed_wire_wrapped`, the in-run
 reference for ``speedup_vs_seed`` and the byte-parity tests.
 """
@@ -29,20 +37,29 @@ import weakref
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.coding.bitstring import Bits
-from repro.coding.concat import concat_bits, decode_concat
+from repro.coding.concat import (
+    concat_bits,
+    decode_concat,
+    nesting_levels,
+    uint_at,
+)
 from repro.coding.integers import decode_uint, encode_uint
 from repro.errors import SimulationError
 from repro.obs import core as obs
 from repro.sim.local_model import NodeAlgorithm, NodeContext
 from repro.views.view import View
 from repro.views.wire import (
-    _SEPARATOR,
     _decode_view_wire_uncached,
-    _double,
     _encode_view_wire_uncached,
     decode_view_wire,
-    encode_view_wire,
+    doubled_view_wire,
 )
+
+#: ``Concat(bin(0), bin(port), wire)`` opens with kind 0's doubled digit
+#: and the separator; the port follows at nesting level 1.
+_HEADER = "0001"
+_SEPARATOR = "01"
+_PORT_TABLE = nesting_levels(2)[1][1]
 
 #: Every live plane, cleared by ``repro.views.clear_view_caches``: plane
 #: entries key on interned-view identity and hold interned views, so a
@@ -68,14 +85,9 @@ def _check_com_message(msg: Any) -> Tuple[int, View]:
     )
 
 
-def _encode_message(msg: Any) -> Bits:
-    port, view = _check_com_message(msg)
-    return concat_bits(
-        [encode_uint(0), encode_uint(port), encode_view_wire(view)]
-    )
-
-
 def _decode_message(bits: Bits) -> Any:
+    """The full parse: every field of the message split by
+    ``decode_concat``, then checked in order."""
     fields = decode_concat(bits)
     kind = decode_uint(fields[0])
     if kind == 0:
@@ -83,6 +95,29 @@ def _decode_message(bits: Bits) -> Any:
             raise SimulationError("malformed strict COM message")
         return (decode_uint(fields[1]), decode_view_wire(fields[2]))
     raise SimulationError(f"unknown strict message kind {kind}")
+
+
+def _split_message(s: str) -> Optional[Tuple[int, str]]:
+    """``(port, view wire)`` of a well-formed COM message, split at its
+    header; ``None`` when any check fails, so that the caller's full
+    parse raises the error."""
+    if not s.startswith(_HEADER):
+        return None
+    k = 4
+    pair = s[4:6]
+    while pair == "00" or pair == "11":
+        k += 2
+        pair = s[k:k + 2]
+    port = s[4:k:2]
+    if pair != _SEPARATOR or not port or (port[0] == "0" and len(port) > 1):
+        return None
+    k += 2
+    digits = s[k::2]
+    # the halves differ on any pair that is not a doubled digit (a
+    # separator, a '10') and in length when the message is odd
+    if digits != s[k + 1::2]:
+        return None
+    return int(port, 2), digits
 
 
 def _encode_message_seed(msg: Any) -> Bits:
@@ -105,21 +140,22 @@ def _decode_message_seed(bits: Bits) -> Any:
 
 
 class MessagePlane:
-    """Per-run message dedup shared by every node of a strict execution.
+    """Per-run message codec and dedup shared by every node of a strict
+    execution.
 
     Keys are exact — ``(port, id(view))`` on the way out (views are
     interned, identity is structural equality) and the wire string on
     the way in — so a hit returns the byte-identical ``Bits`` / message
-    tuple the per-node codec would produce: ``bits_sent`` accounting and
-    strict records are unchanged.  ``clear_view_caches`` empties every
-    live plane; create one plane per run (``wire_wrapped`` does) or pass
-    a long-lived one explicitly to read its hit counters.
+    tuple a miss builds, and every message is byte-equal to the seed
+    path's: ``bits_sent`` accounting and strict records are unchanged.
+    ``clear_view_caches`` empties every live plane; create one plane per
+    run (``wire_wrapped`` does) or pass a long-lived one explicitly to
+    read its hit counters.
     """
 
     __slots__ = (
         "_encode_cache",
         "_decode_cache",
-        "_doubled_view",
         "encode_calls",
         "encode_hits",
         "decode_calls",
@@ -130,7 +166,6 @@ class MessagePlane:
     def __init__(self) -> None:
         self._encode_cache: Dict[Tuple[int, int], Bits] = {}
         self._decode_cache: Dict[str, Any] = {}
-        self._doubled_view: Dict[int, str] = {}
         self.encode_calls = 0
         self.encode_hits = 0
         self.decode_calls = 0
@@ -148,17 +183,11 @@ class MessagePlane:
         if wire is not None:
             self.encode_hits += 1
             return wire
-        # concat_bits([a, b, c]) is join(doubled parts, "01"); the view
-        # wire dominates the message, so its doubled form is cached per
-        # view rather than re-doubled for every port it is sent through
-        dview = self._doubled_view.get(id(view))
-        if dview is None:
-            dview = _double(encode_view_wire(view).as_str())
-            self._doubled_view[id(view)] = dview
         wire = Bits._unsafe(
-            _SEPARATOR.join(
-                ("00", _double(encode_uint(port).as_str()), dview)
-            )
+            _HEADER
+            + uint_at(port, _PORT_TABLE)
+            + _SEPARATOR
+            + doubled_view_wire(view)
         )
         self._encode_cache[key] = wire
         return wire
@@ -170,7 +199,12 @@ class MessagePlane:
         if msg is not None:
             self.decode_hits += 1
             return msg
-        msg = _decode_message(bits)
+        split = _split_message(key)
+        if split is None:
+            msg = _decode_message(bits)
+        else:
+            port, digits = split
+            msg = (port, decode_view_wire(Bits._unsafe(digits)))
         self._decode_cache[key] = msg
         return msg
 
@@ -178,7 +212,6 @@ class MessagePlane:
         """Drop the dedup entries (hit counters are left running)."""
         self._encode_cache.clear()
         self._decode_cache.clear()
-        self._doubled_view.clear()
 
     def stats(self) -> Dict[str, int]:
         """The hit counters, in bench-record field names."""
@@ -191,17 +224,16 @@ class MessagePlane:
 
 
 class WireWrapped:
-    """Wrap a node algorithm so all its traffic is serialized bits."""
+    """Wrap a node algorithm so all its traffic is serialized bits,
+    encoded and decoded by ``plane`` (a private one when none is given)."""
 
     def __init__(self, inner: NodeAlgorithm, plane: Optional[MessagePlane] = None):
         self._inner = inner
         self.bits_sent = 0
-        if plane is not None:
-            self._encode: Callable[[Any], Bits] = plane.encode
-            self._decode: Callable[[Bits], Any] = plane.decode
-        else:
-            self._encode = _encode_message
-            self._decode = _decode_message
+        if plane is None:
+            plane = MessagePlane()
+        self._encode: Callable[[Any], Bits] = plane.encode
+        self._decode: Callable[[Bits], Any] = plane.decode
 
     def setup(self, ctx: NodeContext) -> None:
         self._inner.setup(ctx)
@@ -239,7 +271,9 @@ class _SeedWireWrapped(WireWrapped):
     tests can pin the fast path byte-identical to it."""
 
     def __init__(self, inner: NodeAlgorithm):
-        super().__init__(inner)
+        # the seed codec stands in for the plane, so none is made
+        self._inner = inner
+        self.bits_sent = 0
         self._encode = _encode_message_seed
         self._decode = _decode_message_seed
 

@@ -18,14 +18,23 @@ interned and immutable and the encoder is deterministic, so
 ``encode_view_wire`` caches on view identity and ``decode_view_wire`` on
 the exact wire string — a hit returns the byte-identical objects the
 uncached path produces, which is what keeps strict-mode records (and
-``WireWrapped.bits_sent``) unchanged.  First encodings are built
-*level-incrementally*: in COM traffic a depth-l+1 view's children are
-exactly the depth-l views that crossed the wire one round earlier, and
-their cached sub-encodings splice into the parent's record list instead
-of re-walking the full DAG per message.  The unmemoized single-walk
-encoder survives as :func:`_encode_view_wire_uncached`, the executable
-specification the fast path is differentially tested against.  All three
-caches are dropped by :func:`repro.views.clear_view_caches`.
+``WireWrapped.bits_sent``) unchanged.
+
+Records are written at the message's level: a strict message
+``Concat(bin(0), bin(port), wire)`` doubles every digit of the wire, so
+each record is written once in that form, and a view's records joined
+make its *doubled wire* (:func:`doubled_view_wire`, which
+:mod:`repro.sim.strict` splices into messages).  The plain wire is its
+``[::2]`` stride slice; no record is re-doubled.
+
+First encodings are built *level-incrementally*: in COM traffic a
+depth-l+1 view's children are exactly the depth-l views that crossed
+the wire one round earlier, and their cached records splice into the
+parent's record list instead of re-walking the full DAG per message.
+The unmemoized single-walk encoder survives as
+:func:`_encode_view_wire_uncached`, the executable specification the
+fast path is differentially tested against.  All four caches are
+dropped by :func:`repro.views.clear_view_caches`.
 """
 
 from __future__ import annotations
@@ -33,7 +42,12 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.coding.bitstring import Bits
-from repro.coding.concat import concat_bits, decode_concat
+from repro.coding.concat import (
+    concat_bits,
+    decode_concat,
+    nesting_levels,
+    uint_at,
+)
 from repro.coding.integers import decode_uint, encode_uint
 from repro.errors import CodingError
 from repro.views.view import View
@@ -45,38 +59,41 @@ from repro.views.view import View
 # ----------------------------------------------------------------------
 #: id(view) -> its full wire encoding.
 _ENCODE_CACHE: Dict[int, Bits] = {}
+#: id(view) -> its doubled wire, the form a strict message carries.
+_DOUBLED_CACHE: Dict[int, str] = {}
 #: wire '0'/'1' string -> the decoded (interned) view.
 _DECODE_CACHE: Dict[str, View] = {}
-#: id(view) -> (DAG order, doubled record strings): the sub-encoding the
-#: level-incremental builder reuses when the view recurs as a child.
+#: id(view) -> (DAG order, records at the message's level): the
+#: sub-encoding the level-incremental builder reuses when the view recurs
+#: as a child.
 _SUBENC_CACHE: Dict[int, Tuple[Tuple[View, ...], Tuple[str, ...]]] = {}
 
-#: concat_bits' component separator; record strings are stored already
-#: digit-doubled so the outer concat is a plain join.
-_SEPARATOR = "01"
+# inside a message the wire is a level-1 Concat: records are joined by the
+# level-1 separator, a record's fields by the level-2 separator, and each
+# field is written through the level-3 digit table
+_LEVELS = nesting_levels(4)
+_RECORD_SEP = _LEVELS[1][0]
+_FIELD_SEP = _LEVELS[2][0]
+_FIELD_TABLE = _LEVELS[3][1]
 
 
 def _clear_wire_caches() -> None:
     """Drop the codec caches (called by ``clear_view_caches``)."""
     _ENCODE_CACHE.clear()
+    _DOUBLED_CACHE.clear()
     _DECODE_CACHE.clear()
     _SUBENC_CACHE.clear()
 
 
-def _record_str(v: View, index: Dict[View, int]) -> str:
-    """The raw (undoubled) record of ``v`` with child references resolved
-    through ``index`` — exactly the per-record bytes of the seed path."""
-    fields = [encode_uint(v.degree)]
+def _record(v: View, index: Dict[View, int]) -> str:
+    """The record of ``v`` at the message's level, child references
+    resolved through ``index``: the seed path's record bytes with every
+    digit quadrupled."""
+    fields = [uint_at(v.degree, _FIELD_TABLE)]
     for q, child in v.children:
-        fields.append(encode_uint(q))
-        fields.append(encode_uint(index[child]))
-    return concat_bits(fields).as_str()
-
-
-def _double(s: str) -> str:
-    # concat_bits' digit doubling (replace never overlaps: the first
-    # pass only creates '0's from '0's, the second only touches '1's)
-    return s.replace("0", "00").replace("1", "11")
+        fields.append(uint_at(q, _FIELD_TABLE))
+        fields.append(uint_at(index[child], _FIELD_TABLE))
+    return _FIELD_SEP.join(fields)
 
 
 def encode_view_wire(view: View) -> Bits:
@@ -86,17 +103,30 @@ def encode_view_wire(view: View) -> Bits:
     result is byte-identical to :func:`_encode_view_wire_uncached`.
     """
     wire = _ENCODE_CACHE.get(id(view))
-    if wire is not None:
-        return wire
+    if wire is None:
+        _encode(view)
+        wire = _ENCODE_CACHE[id(view)]
+    return wire
 
+
+def doubled_view_wire(view: View) -> str:
+    """:func:`encode_view_wire` with every digit doubled: the view field
+    of a strict message, written once per view."""
+    dwire = _DOUBLED_CACHE.get(id(view))
+    return dwire if dwire is not None else _encode(view)
+
+
+def _encode(view: View) -> str:
+    """Build ``view``'s records, fill every codec cache and return the
+    doubled wire."""
     order: List[View] = []
-    drecords: List[str] = []
+    records: List[str] = []
     index: Dict[View, int] = {}
 
     def emit(v: View) -> None:
         # v's children are all indexed (postorder), so its record bytes
         # are final; v itself takes the next free reference
-        drecords.append(_double(_record_str(v, index)))
+        records.append(_record(v, index))
         index[v] = len(order)
         order.append(v)
 
@@ -113,14 +143,14 @@ def encode_view_wire(view: View) -> Bits:
                 continue
             sub = _SUBENC_CACHE.get(id(v))
             if sub is not None:
-                sorder, sdrecords = sub
+                sorder, srecords = sub
                 if not index:
                     # fresh build: the cached index space coincides with
                     # ours, so the record bytes splice in verbatim
                     for i, w in enumerate(sorder):
                         index[w] = i
                     order.extend(sorder)
-                    drecords.extend(sdrecords)
+                    records.extend(srecords)
                 else:
                     # the cached order restricted to unseen views is the
                     # DFS completion order of exactly those views (a
@@ -143,13 +173,15 @@ def encode_view_wire(view: View) -> Bits:
         absorb(child)
     emit(view)
 
-    wire = Bits._unsafe(_SEPARATOR.join(drecords))
-    _SUBENC_CACHE[id(view)] = (tuple(order), tuple(drecords))
+    dwire = _RECORD_SEP.join(records)
+    wire = Bits._unsafe(dwire[::2])
+    _SUBENC_CACHE[id(view)] = (tuple(order), tuple(records))
+    _DOUBLED_CACHE[id(view)] = dwire
     _ENCODE_CACHE[id(view)] = wire
     # the canonical encoding decodes to this very object (decoding
     # re-interns), so the receiving side's first lookup is already a hit
     _DECODE_CACHE[wire.as_str()] = view
-    return wire
+    return dwire
 
 
 def _encode_view_wire_uncached(view: View) -> Bits:

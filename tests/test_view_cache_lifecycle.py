@@ -62,6 +62,7 @@ def test_clear_view_caches_frees_every_table():
     assert order_mod._RANKED_COUNT
     assert encoding_mod._B1_CACHE
     assert wire_mod._ENCODE_CACHE
+    assert wire_mod._DOUBLED_CACHE
     assert wire_mod._DECODE_CACHE
     assert wire_mod._SUBENC_CACHE
 
@@ -74,6 +75,7 @@ def test_clear_view_caches_frees_every_table():
     assert not order_mod._RANKED_COUNT
     assert not encoding_mod._B1_CACHE
     assert not wire_mod._ENCODE_CACHE
+    assert not wire_mod._DOUBLED_CACHE
     assert not wire_mod._DECODE_CACHE
     assert not wire_mod._SUBENC_CACHE
 

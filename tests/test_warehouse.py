@@ -652,6 +652,33 @@ class TestWarehouseCLI:
         assert err.startswith("error: ") and "not_a_db.sqlite" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["warehouse", "info", "{db}"],
+            ["warehouse", "export", "{db}", "sweep", "{out}"],
+            ["warehouse", "export", "{db}", "--bench", "{out}"],
+            ["warehouse", "trend", "{db}"],
+            ["report", "--trend", "{db}"],
+            ["obs", "export", "{db}", "--trace-json", "{out}"],
+        ],
+        ids=["info", "export", "export-bench", "trend", "report-trend",
+             "obs-export"],
+    )
+    def test_a_read_only_command_on_a_missing_database_exits_2(
+        self, tmp_path, capsys, argv
+    ):
+        """sqlite creates a database on connect; a read-only command
+        given a mistyped path must refuse it and leave nothing behind."""
+        from repro.cli import main
+
+        db = tmp_path / "nope.sqlite"
+        argv = [arg.format(db=db, out=tmp_path / "out") for arg in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: warehouse '{db}' does not exist\n"
+        assert list(tmp_path.iterdir()) == []  # no db, -wal, -shm or out
+
     def test_export_without_dataset_errors(self, tmp_path, capsys):
         from repro.cli import main
 

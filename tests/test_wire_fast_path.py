@@ -7,7 +7,8 @@ executable specification.  These tests pin the two byte-for-byte equal
 over every connected <=5-node atlas graph under two port maps and over
 corpus-family prefixes — including the merge path, by encoding every
 depth-l view before any depth-l+1 view so parents always find their
-children's sub-encodings in cache.
+children's sub-encodings in cache.  The same loops pin every strict
+message ``MessagePlane.encode`` writes byte-equal to the seed message.
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ import pytest
 
 from repro.corpus import get_family
 from repro.graphs.serialization import from_networkx
+from repro.sim.strict import MessagePlane, _encode_message_seed
 from repro.views import clear_view_caches, view_levels
 from repro.views.wire import (
     _encode_view_wire_uncached,
     decode_view_wire,
+    doubled_view_wire,
     encode_view_wire,
 )
 
@@ -61,8 +64,12 @@ def _assert_codec_matches_seed(g, max_depth):
     """Encode every view of every level bottom-up (the COM traffic order,
     which makes depth-l+1 first encodings take the cached-child merge
     path) and compare each wire byte-for-byte against the seed encoder;
-    decoding must return the identical interned object."""
+    decoding must return the identical interned object.  Every message
+    ``(port, view)`` a node holding the view sends is byte-equal to the
+    seed message, and the doubled wire it splices is the plain wire
+    doubled."""
     clear_view_caches()
+    plane = MessagePlane()
     for level in view_levels(g, max_depth=max_depth):
         for v in set(level):
             fast = encode_view_wire(v)
@@ -72,6 +79,14 @@ def _assert_codec_matches_seed(g, max_depth):
             )
             assert encode_view_wire(v).as_str() == seed.as_str()  # cache hit
             assert decode_view_wire(fast) is v
+            assert doubled_view_wire(v) == (
+                seed.as_str().replace("0", "00").replace("1", "11")
+            )
+            for port in range(v.degree):
+                wire = plane.encode((port, v))
+                seed_msg = _encode_message_seed((port, v))
+                assert wire.as_str() == seed_msg.as_str()
+                assert plane.decode(wire) == (port, v)
 
 
 @pytest.mark.parametrize(

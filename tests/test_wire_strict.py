@@ -9,11 +9,16 @@ from repro.core.elect import ElectAlgorithm
 from repro.core.generic import GenericAlgorithm
 from repro.errors import CodingError, SimulationError
 from repro.coding import Bits
+from repro.coding.concat import concat_bits
+from repro.coding.integers import encode_uint
 from repro.graphs import cycle_with_leader_gadget, lollipop, random_connected_graph, ring
 from repro.sim import run_sync
 from repro.sim.strict import (
     MessagePlane,
     WireWrapped,
+    _decode_message_seed,
+    _encode_message_seed,
+    _split_message,
     seed_wire_wrapped,
     wire_wrapped,
 )
@@ -24,6 +29,7 @@ from repro.views import (
     view_levels,
     views_of_graph,
 )
+from repro.views import wire as wire_mod
 from repro.views.wire import (
     _encode_view_wire_uncached,
     decode_view_wire,
@@ -170,23 +176,28 @@ class TestStrictExecution:
     def test_message_plane_dedups_and_counts(self):
         """All nodes of a run share one plane; repeated (port, view)
         messages and repeated wire strings must hit its caches, and the
-        counters must account for every codec call."""
-        g = lollipop(5, 4)
-        bundle = compute_advice(g)
-        clear_view_caches()
-        plane = MessagePlane()
-        result = run_sync(
-            g, wire_wrapped(ElectAlgorithm, plane), advice=bundle.bits
-        )
-        stats = plane.stats()
-        # every sent message was encoded through the plane and every
-        # received one decoded through it
-        assert stats["encode_calls"] == result.total_messages
-        assert stats["decode_calls"] == result.total_messages
-        # dedup must actually fire: a node's view is sent through several
-        # ports and received by several neighbors each round
-        assert 0 < stats["encode_hits"] < stats["encode_calls"]
-        assert 0 < stats["decode_hits"] < stats["decode_calls"]
+        counters must account for every codec call.  The exact counts
+        pin what the plane dedups: a codec change that alters it fails
+        here."""
+        for args, calls, hits in (((5, 4), 28, 16), ((8, 12), 400, 102)):
+            g = lollipop(*args)
+            bundle = compute_advice(g)
+            clear_view_caches()
+            plane = MessagePlane()
+            result = run_sync(
+                g, wire_wrapped(ElectAlgorithm, plane), advice=bundle.bits
+            )
+            # every sent message was encoded through the plane and every
+            # received one decoded through it; dedup fires because a
+            # node's view is sent through several ports and received by
+            # several neighbors each round
+            assert result.total_messages == calls
+            assert plane.stats() == {
+                "encode_calls": calls,
+                "encode_hits": hits,
+                "decode_calls": calls,
+                "decode_hits": hits,
+            }, args
 
     def test_message_plane_cleared_with_view_caches(self):
         """A plane surviving ``clear_view_caches`` would serve interned
@@ -198,10 +209,12 @@ class TestStrictExecution:
         plane = MessagePlane()
         run_sync(g, wire_wrapped(ElectAlgorithm, plane), advice=bundle.bits)
         assert plane._encode_cache and plane._decode_cache
+        # the doubled view wires a message splices live in the codec
+        assert wire_mod._DOUBLED_CACHE
         clear_view_caches()
         assert not plane._encode_cache
         assert not plane._decode_cache
-        assert not plane._doubled_view
+        assert not wire_mod._DOUBLED_CACHE
 
     def test_mixed_peers_rejected(self):
         """A strict node receiving raw (non-Bits) traffic must complain."""
@@ -228,3 +241,82 @@ class TestStrictExecution:
 
         with pytest.raises(SimulationError):
             run_sync(g, factory, max_rounds=3)
+
+
+#: each breaks one rule of the COM message format
+MALFORMED = (
+    "odd-length", "10-in-kind", "10-in-port", "10-in-view", "kind-1",
+    "two-fields", "four-fields", "empty-port", "leading-zero-port",
+    "empty-view", "forward-reference",
+)
+#: the ones the header split accepts: their view wire then fails in
+#: ``decode_view_wire``; the header split hands the others to the full parse
+SPLIT_THEN_FAIL = {"empty-view", "forward-reference"}
+
+
+def _malformed_message(name: str) -> str:
+    view = views_of_graph(lollipop(4, 2), 2)[0]
+    wire = _encode_view_wire_uncached(view)
+    good = _encode_message_seed((1, view)).as_str()
+    assert good.startswith("0001" "11" "01")  # kind 0, port 1, view field
+    i = len(good) - 8  # a pair inside the view field
+    zero = encode_uint(0)
+    self_ref = concat_bits(
+        [encode_uint(1), encode_uint(0), encode_uint(0)]
+    )  # degree 1, child reference 0 = the record itself
+    messages = {
+        "odd-length": good + "0",
+        "10-in-kind": "10" + good[2:],
+        "10-in-port": good[:4] + "10" + good[6:],
+        "10-in-view": good[:i] + "10" + good[i + 2:],
+        "kind-1": concat_bits([encode_uint(1), zero, wire]),
+        "two-fields": concat_bits([zero, zero]),
+        "four-fields": concat_bits([zero, zero, wire, wire]),
+        "empty-port": concat_bits([zero, Bits(""), wire]),
+        "leading-zero-port": concat_bits([zero, Bits("01"), wire]),
+        "empty-view": concat_bits([zero, zero, Bits("")]),
+        "forward-reference": concat_bits(
+            [zero, zero, concat_bits([self_ref])]
+        ),
+    }
+    return Bits(messages[name]).as_str()
+
+
+class TestHeaderSplitDecode:
+    """``MessagePlane.decode`` splits a message at its header and parses
+    it in full only when a check fails; the seed decoder always parses in
+    full.  Both must agree on every message, failing ones included."""
+
+    def test_well_formed_messages_decode_like_the_seed(self):
+        for g in (lollipop(5, 4), cycle_with_leader_gadget(6), ring(5)):
+            clear_view_caches()
+            plane = MessagePlane()
+            levels = list(view_levels(g, max_depth=2 * g.n))
+            for depth in (0, 1, len(levels) - 1):
+                for v in set(levels[depth]):
+                    for port in range(v.degree):
+                        bits = _encode_message_seed((port, v))
+                        assert _split_message(bits.as_str()) is not None
+                        fast = plane.decode(bits)
+                        seed = _decode_message_seed(bits)
+                        assert fast[0] == seed[0] == port
+                        assert fast[1] is seed[1] is v
+
+    @pytest.mark.parametrize("name", MALFORMED)
+    def test_malformed_messages_raise_the_seed_error(self, name):
+        message = _malformed_message(name)
+        splits = _split_message(message) is not None
+        assert splits == (name in SPLIT_THEN_FAIL)
+        bits = Bits(message)
+        with pytest.raises(Exception) as seed:
+            _decode_message_seed(bits)
+        plane = MessagePlane()
+        for attempt in (1, 2):
+            with pytest.raises(Exception) as fast:
+                plane.decode(bits)
+            assert type(fast.value) is type(seed.value)
+            assert str(fast.value) == str(seed.value)
+            # a failed decode is counted and never cached
+            assert not plane._decode_cache
+            assert plane.decode_calls == attempt
+            assert plane.decode_hits == 0
