@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Thin wrapper over :mod:`repro.analysis.bench` — the perf harness.
+"""Thin wrapper over the ``repro bench`` subcommand — the perf harness.
 
 Run named perf scenarios and emit canonical ``BENCH_<scenario>.json``
 records (schema ``repro-bench/1``) under ``benchmarks/out/``::
@@ -8,12 +8,7 @@ records (schema ``repro-bench/1``) under ``benchmarks/out/``::
     PYTHONPATH=src python benchmarks/harness.py --scenario refinement,sweep
     PYTHONPATH=src python benchmarks/harness.py --check benchmarks/out
 
-Equivalent to the installed ``repro bench`` subcommand.  The recorded
-seed-implementation baseline lives in ``benchmarks/baseline_seed.json``;
-re-measure it (on a reference checkout) with::
-
-    PYTHONPATH=src python benchmarks/harness.py \
-        --record-baseline benchmarks/baseline_seed.json
+Equivalent to the installed ``repro bench`` subcommand.
 """
 
 from __future__ import annotations
@@ -21,6 +16,6 @@ from __future__ import annotations
 import sys
 
 if __name__ == "__main__":
-    from repro.analysis.bench import main
+    from repro.cli import main
 
-    sys.exit(main())
+    sys.exit(main(["bench", *sys.argv[1:]]))

@@ -5,16 +5,16 @@ The ROADMAP's north star is "as fast as the hardware allows", but prose
 them, gate on them, or compute a speedup from them.  This module defines
 
 * a registry of named **perf scenarios** (``refinement``, ``sweep``,
-  ``strict``, ``conformance``) — each runs a fixed, seeded workload
+  ``strict``, ``elect-orbit``, ``conformance``, ``service``,
+  ``service-load``, ``warehouse``) — each runs a fixed, seeded workload
   through the library's hot paths and times it (min over repeats);
 * the canonical ``BENCH_<scenario>.json`` record schema (version
-  ``repro-bench/1``) with an environment fingerprint and, when a recorded
-  baseline is available, a per-case **speedup** against it;
-* the **baseline** file format (``repro-bench-baseline/1``): timings of a
-  reference implementation recorded *by this same harness*, which is what
-  makes a speedup claim reproducible — same scenarios, same cases, same
-  measurement discipline (``benchmarks/baseline_seed.json`` holds the
-  pre-CSR seed implementation's numbers);
+  ``repro-bench/1``) with an environment fingerprint; a case that times
+  a reference path on the identical workload in the same run carries
+  the ratio as ``speedup_vs_<reference>`` (seed codec, per-node engine,
+  cold cache, in-process compute, corpus re-stream) — the only speedups
+  a record holds, since a ratio against timings from another run, host
+  or workload is not evidence;
 * ``validate_bench_record`` — the schema gate CI runs on every emitted
   record (``repro bench --check``), so a malformed record fails the build
   instead of silently dropping out of the trajectory.
@@ -25,9 +25,9 @@ Entry points: the ``repro bench`` CLI subcommand and the thin
 schema, so old and new artifacts feed one trajectory.
 
 Scenario cases are deterministic (fixed generator seeds, fixed corpus
-family prefixes), so a baseline and a candidate measure the *identical*
-workload; timings are wall-clock ``perf_counter`` minima, with the view
-caches cleared before every repeat that touches them.
+family prefixes), so two runs measure the *identical* workload; timings
+are wall-clock ``perf_counter`` minima, with the view caches cleared
+before every repeat that touches them.
 """
 
 from __future__ import annotations
@@ -49,7 +49,10 @@ if TYPE_CHECKING:  # annotations of warm_from_stores only
     from repro.service.cache import ResultCache
 
 BENCH_SCHEMA = "repro-bench/1"
-BASELINE_SCHEMA = "repro-bench-baseline/1"
+
+#: A case's in-run ratio against a reference path timed in the same run
+#: on the identical workload: ``speedup_vs_seed``, ``speedup_vs_cold``, ...
+RATIO_PREFIX = "speedup_vs_"
 
 #: A case is one timed (or tabulated) unit inside a scenario record.
 Case = Dict[str, Any]
@@ -925,44 +928,19 @@ def _scenario_warehouse(quick: bool) -> List[Case]:
 
 
 # ----------------------------------------------------------------------
-# records, baselines, validation
+# records and validation
 # ----------------------------------------------------------------------
 def make_bench_record(
-    scenario: str,
-    cases: List[Case],
-    quick: bool,
-    baseline: Optional[Dict[str, Any]] = None,
-    baseline_path: Optional[str] = None,
+    scenario: str, cases: List[Case], quick: bool
 ) -> Dict[str, Any]:
-    """Assemble the canonical ``BENCH_<scenario>.json`` record, attaching
-    per-case speedups when the baseline covers (mode, scenario, case)."""
-    mode = "quick" if quick else "full"
-    base_cases: Dict[str, float] = {}
-    if baseline is not None:
-        base_cases = baseline.get("modes", {}).get(mode, {}).get(scenario, {})
-    out_cases: List[Case] = []
-    for case in cases:
-        case = dict(case)
-        base = base_cases.get(case["case"])
-        case["baseline_seconds"] = base
-        case["speedup"] = (
-            base / case["seconds"]
-            if base is not None and case["seconds"] > 0
-            else None
-        )
-        out_cases.append(case)
+    """Assemble the canonical ``BENCH_<scenario>.json`` record."""
     return {
         "schema": BENCH_SCHEMA,
         "kind": "timing",
         "scenario": scenario,
         "quick": quick,
         "env": env_fingerprint(),
-        "baseline": (
-            {"path": baseline_path, "env": baseline.get("env")}
-            if baseline is not None
-            else None
-        ),
-        "cases": out_cases,
+        "cases": cases,
     }
 
 
@@ -975,7 +953,6 @@ def make_table_record(scenario: str, title: str, body: str) -> Dict[str, Any]:
         "scenario": scenario,
         "quick": False,
         "env": env_fingerprint(),
-        "baseline": None,
         "cases": [{"case": scenario, "title": title, "text": body}],
     }
 
@@ -1002,6 +979,8 @@ def validate_bench_record(record: Any) -> None:
     env = record.get("env")
     if not isinstance(env, dict) or not env.get("python") or not env.get("platform"):
         fail("env must carry at least python and platform")
+    # records written before the in-run ratios carry a recorded-baseline
+    # envelope and per-case baseline_seconds/speedup; they stay valid
     baseline = record.get("baseline")
     if baseline is not None and not isinstance(baseline, dict):
         fail("baseline must be null or an object")
@@ -1018,7 +997,8 @@ def validate_bench_record(record: Any) -> None:
             repeats = case.get("repeats")
             if not isinstance(repeats, int) or repeats < 1:
                 fail(f"cases[{i}].repeats must be a positive integer")
-            for key in ("baseline_seconds", "speedup"):
+            ratios = [key for key in case if key.startswith(RATIO_PREFIX)]
+            for key in ("baseline_seconds", "speedup", *ratios):
                 value = case.get(key)
                 if value is not None and not isinstance(value, (int, float)):
                     fail(f"cases[{i}].{key} must be null or a number")
@@ -1027,23 +1007,25 @@ def validate_bench_record(record: Any) -> None:
                 fail(f"cases[{i}].text must be a string (kind=table)")
 
 
+def _in_run_ratio(case: Case) -> str:
+    """The case's ``speedup_vs_<reference>`` as ``'29.22x seed'``, or
+    ``'-'`` when the case times no reference path."""
+    for key, value in case.items():
+        if key.startswith(RATIO_PREFIX) and value is not None:
+            return f"{value:.2f}x {key[len(RATIO_PREFIX):]}"
+    return "-"
+
+
 def bench_table(record: Dict[str, Any]) -> Tuple[List[str], List[Tuple]]:
     """``(columns, rows)`` for :func:`repro.analysis.format_table`."""
-    columns = ["case", "seconds", "baseline_s", "speedup"]
+    columns = ["case", "seconds", "in-run ratio"]
     rows = []
     for case in record["cases"]:
         if record["kind"] == "table":
-            rows.append((case["case"], "-", "-", "-"))
+            rows.append((case["case"], "-", "-"))
             continue
-        base = case.get("baseline_seconds")
-        speedup = case.get("speedup")
         rows.append(
-            (
-                case["case"],
-                f"{case['seconds']:.4f}",
-                f"{base:.4f}" if base is not None else "-",
-                f"{speedup:.2f}x" if speedup is not None else "-",
-            )
+            (case["case"], f"{case['seconds']:.4f}", _in_run_ratio(case))
         )
     return columns, rows
 
@@ -1057,60 +1039,10 @@ def write_json(path: str, payload: Dict[str, Any]) -> None:
         fh.write("\n")
 
 
-def load_baseline(path: str) -> Dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as fh:
-        baseline = json.load(fh)
-    if baseline.get("schema") != BASELINE_SCHEMA:
-        raise ReproError(
-            f"{path}: schema must be '{BASELINE_SCHEMA}', "
-            f"got {baseline.get('schema')!r}"
-        )
-    return baseline
-
-
-def update_baseline(
-    path: str, mode: str, results: Dict[str, List[Case]]
-) -> Dict[str, Any]:
-    """Merge freshly measured scenario timings into the baseline file
-    (creating it if absent); only the given mode is touched.
-
-    A baseline's timings are only comparable within one environment, so
-    merging into a file recorded on a different environment is refused —
-    re-record every mode into a fresh file instead."""
-    current_env = env_fingerprint()
-    if os.path.exists(path):
-        baseline = load_baseline(path)
-        recorded_env = baseline.get("env")
-        if recorded_env and recorded_env != current_env:
-            raise ReproError(
-                f"{path}: existing baseline was recorded on a different "
-                f"environment ({recorded_env}); partial re-recording would "
-                "mislabel its timings — record all modes into a fresh file"
-            )
-    else:
-        baseline = {"schema": BASELINE_SCHEMA, "modes": {}}
-    per_mode = baseline.setdefault("modes", {}).setdefault(mode, {})
-    for scenario, cases in results.items():
-        per_mode[scenario] = {c["case"]: c["seconds"] for c in cases}
-    baseline["env"] = current_env
-    write_json(path, baseline)
-    return baseline
-
-
-def _check_known_scenarios(scenarios: List[str]) -> None:
-    unknown = [s for s in scenarios if s not in SCENARIOS]
-    if unknown:
-        raise ReproError(
-            f"unknown scenario(s) {', '.join(unknown)}; "
-            f"available: {', '.join(sorted(SCENARIOS))}"
-        )
-
-
 def run_bench(
     scenarios: List[str],
     quick: bool,
     out_dir: str,
-    baseline_path: Optional[str],
     progress: Callable[[str], None] = lambda _msg: None,
     warehouse_path: Optional[str] = None,
     label: Optional[str] = None,
@@ -1124,19 +1056,19 @@ def run_bench(
     cross-run perf trajectory.  The BENCH files stay the wire format:
     ``repro warehouse export --bench`` writes them back byte-identical.
     """
-    _check_known_scenarios(scenarios)
-    baseline = None
-    if baseline_path and os.path.exists(baseline_path):
-        baseline = load_baseline(baseline_path)
+    unknown = [s for s in scenarios if s not in SCENARIOS]
+    if unknown:
+        raise ReproError(
+            f"unknown scenario(s) {', '.join(unknown)}; "
+            f"available: {', '.join(sorted(SCENARIOS))}"
+        )
     os.makedirs(out_dir, exist_ok=True)
     written: List[str] = []
     records: List[Dict[str, Any]] = []
     for scenario in scenarios:
         progress(f"scenario {scenario} ({'quick' if quick else 'full'}) ...")
         cases = SCENARIOS[scenario](quick)
-        record = make_bench_record(
-            scenario, cases, quick, baseline=baseline, baseline_path=baseline_path
-        )
+        record = make_bench_record(scenario, cases, quick)
         validate_bench_record(record)
         path = os.path.join(out_dir, f"BENCH_{scenario}.json")
         write_json(path, record)
@@ -1195,16 +1127,6 @@ def run_from_args(args) -> int:
         if args.scenario
         else sorted(SCENARIOS)
     )
-    if args.record_baseline is not None:
-        _check_known_scenarios(names)
-        mode = "quick" if args.quick else "full"
-        results = {}
-        for scenario in names:
-            print(f"baseline: scenario {scenario} ({mode}) ...", flush=True)
-            results[scenario] = SCENARIOS[scenario](args.quick)
-        update_baseline(args.record_baseline, mode, results)
-        print(f"baseline ({mode}) written to {args.record_baseline}")
-        return 0
 
     from repro.analysis.tables import format_table
 
@@ -1212,7 +1134,6 @@ def run_from_args(args) -> int:
         names,
         args.quick,
         args.out_dir,
-        args.baseline,
         progress=lambda msg: print(msg, flush=True),
         warehouse_path=getattr(args, "warehouse", None),
         label=getattr(args, "label", None),
@@ -1225,15 +1146,3 @@ def run_from_args(args) -> int:
         print(format_table(columns, rows))
     print(f"\n{len(written)} record(s) written to {args.out_dir}")
     return 0
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """The ``benchmarks/harness.py`` standalone entry point: exactly the
-    ``repro bench`` subcommand (one flag definition, in the CLI)."""
-    from repro.cli import main as cli_main
-
-    return cli_main(["bench"] + list(sys.argv[1:] if argv is None else argv))
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via harness.py
-    sys.exit(main())

@@ -31,8 +31,11 @@ Commands
     JSON lines.
 ``bench [--quick] [--scenario S,T] [--out-dir DIR] [--check DIR]``
     The machine-readable perf harness: run named scenarios (refinement,
-    sweep, strict, conformance) and emit canonical ``BENCH_<scenario>.json``
-    records with speedups against the recorded seed baseline; ``--check``
+    sweep, strict, elect-orbit, conformance, service, service-load,
+    warehouse) and emit canonical ``BENCH_<scenario>.json`` records; a
+    case that also times a reference path in the same run (seed codec,
+    per-node engine, cold cache, in-process compute, corpus re-stream)
+    carries the in-run ratio as ``speedup_vs_<reference>``.  ``--check``
     validates existing records (the CI schema gate).
 ``report [--out FILE] [--trend DB]``
     Regenerate the small-scale experiment report (markdown), or render
@@ -46,7 +49,7 @@ Commands
     warehouse, and ``--warm-warehouse`` pre-populates from a warehouse's
     sweep results with one join query; ``--slow-query-ms MS`` turns on
     the structured slow-query log (one JSON line per offending query).
-``warehouse import|export|trend|register|info``
+``warehouse import|export|register|info``
     The indexed sqlite results warehouse (:mod:`repro.warehouse`) under
     sweeps, conformance, the service cache and bench records; the JSONL/
     JSON files stay the wire formats with byte-identical round-trip.
@@ -694,7 +697,6 @@ def _cmd_warehouse(args: argparse.Namespace) -> int:
         export_dataset,
         import_file,
         register_corpus_graphs,
-        render_trend,
     )
 
     if args.warehouse_command == "import":
@@ -732,11 +734,6 @@ def _cmd_warehouse(args: argparse.Namespace) -> int:
                 )
             lines = export_dataset(wh, args.dataset, args.out)
         print(f"{lines} line(s) written to {args.out}")
-        return 0
-
-    if args.warehouse_command == "trend":
-        with _existing_warehouse(args.db) as wh:
-            print(render_trend(wh))
         return 0
 
     if args.warehouse_command == "register":
@@ -1011,14 +1008,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory for BENCH_<scenario>.json records",
     )
     p.add_argument(
-        "--baseline", default="benchmarks/baseline_seed.json",
-        help="baseline timings file for speedup computation (skipped if absent)",
-    )
-    p.add_argument(
-        "--record-baseline", default=None, metavar="FILE",
-        help="measure and write/update the baseline file instead of records",
-    )
-    p.add_argument(
         "--check", default=None, metavar="DIR",
         help="only validate the BENCH_*.json records under DIR, then exit",
     )
@@ -1113,7 +1102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "warehouse",
         help="the indexed results warehouse: import/export the JSONL/JSON "
-        "wire formats, render the perf trend, inspect datasets",
+        "wire formats, register corpora, inspect datasets",
     )
     wh_sub = p.add_subparsers(dest="warehouse_command", required=True)
 
@@ -1153,12 +1142,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --bench: the run id (default: the latest bench run)",
     )
     pe.set_defaults(func=_cmd_warehouse)
-
-    pt = wh_sub.add_parser(
-        "trend", help="the cross-run bench trajectory as one table"
-    )
-    pt.add_argument("db")
-    pt.set_defaults(func=_cmd_warehouse)
 
     pr = wh_sub.add_parser(
         "register",

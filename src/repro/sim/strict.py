@@ -34,6 +34,7 @@ reference for ``speedup_vs_seed`` and the byte-parity tests.
 from __future__ import annotations
 
 import weakref
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.coding.bitstring import Bits
@@ -85,15 +86,18 @@ def _check_com_message(msg: Any) -> Tuple[int, View]:
     )
 
 
-def _decode_message(bits: Bits) -> Any:
+def _decode_message(bits: Bits, decode_view: Callable[[Bits], View]) -> Any:
     """The full parse: every field of the message split by
-    ``decode_concat``, then checked in order."""
+    ``decode_concat``, then checked in order, the view field decoded by
+    ``decode_view``."""
     fields = decode_concat(bits)
+    if not fields:
+        raise SimulationError("malformed strict COM message")
     kind = decode_uint(fields[0])
     if kind == 0:
         if len(fields) != 3:
             raise SimulationError("malformed strict COM message")
-        return (decode_uint(fields[1]), decode_view_wire(fields[2]))
+        return (decode_uint(fields[1]), decode_view(fields[2]))
     raise SimulationError(f"unknown strict message kind {kind}")
 
 
@@ -126,17 +130,6 @@ def _encode_message_seed(msg: Any) -> Bits:
     return concat_bits(
         [encode_uint(0), encode_uint(port), _encode_view_wire_uncached(view)]
     )
-
-
-def _decode_message_seed(bits: Bits) -> Any:
-    """The seed path: every record of every message parsed on arrival."""
-    fields = decode_concat(bits)
-    kind = decode_uint(fields[0])
-    if kind == 0:
-        if len(fields) != 3:
-            raise SimulationError("malformed strict COM message")
-        return (decode_uint(fields[1]), _decode_view_wire_uncached(fields[2]))
-    raise SimulationError(f"unknown strict message kind {kind}")
 
 
 class MessagePlane:
@@ -201,7 +194,7 @@ class MessagePlane:
             return msg
         split = _split_message(key)
         if split is None:
-            msg = _decode_message(bits)
+            msg = _decode_message(bits, decode_view_wire)
         else:
             port, digits = split
             msg = (port, decode_view_wire(Bits._unsafe(digits)))
@@ -275,7 +268,9 @@ class _SeedWireWrapped(WireWrapped):
         self._inner = inner
         self.bits_sent = 0
         self._encode = _encode_message_seed
-        self._decode = _decode_message_seed
+        self._decode = partial(
+            _decode_message, decode_view=_decode_view_wire_uncached
+        )
 
 
 def wire_wrapped(

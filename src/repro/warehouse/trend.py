@@ -3,10 +3,10 @@
 Every ``repro bench --warehouse DB`` invocation (and every imported
 ``BENCH_*.json``) lands its records under a run row with a label, an
 environment fingerprint and a timestamp.  ``trend_table`` pivots those
-rows into the table ``repro report --trend`` / ``repro warehouse trend``
-print: one row per ``(scenario, case)``, one column per run, each cell
-the measured seconds — so "did PR N make the strict path faster" is a
-column scan, not archaeology across artifact tarballs.
+rows into the table ``repro report --trend`` prints: one row per
+``(scenario, case)``, one column per run, each cell the measured
+seconds — so "did PR N make the strict path faster" is a column scan,
+not archaeology across artifact tarballs.
 
 Runs of different modes (quick vs full) measure different workloads, so
 each run column is suffixed with its mode; comparisons are meaningful

@@ -363,35 +363,6 @@ def test_async_engine_rejects_bad_ports():
 # ----------------------------------------------------------------------
 # bench record schema
 # ----------------------------------------------------------------------
-def test_bench_record_roundtrip_and_speedup():
-    from repro.analysis.bench import (
-        make_bench_record,
-        make_table_record,
-        validate_bench_record,
-    )
-
-    baseline = {
-        "schema": "repro-bench-baseline/1",
-        "env": {},
-        "modes": {"full": {"refinement": {"case-a": 1.0}}},
-    }
-    record = make_bench_record(
-        "refinement",
-        [
-            {"case": "case-a", "seconds": 0.25, "repeats": 3},
-            {"case": "case-b", "seconds": 0.5, "repeats": 3},
-        ],
-        quick=False,
-        baseline=baseline,
-        baseline_path="x.json",
-    )
-    validate_bench_record(record)
-    by_case = {c["case"]: c for c in record["cases"]}
-    assert by_case["case-a"]["speedup"] == pytest.approx(4.0)
-    assert by_case["case-b"]["speedup"] is None  # not in the baseline
-    validate_bench_record(make_table_record("legacy", "Title", "body text"))
-
-
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -405,10 +376,15 @@ def test_bench_record_roundtrip_and_speedup():
         lambda r: r["cases"][0].update(repeats=0),
         lambda r: r["cases"][0].update(speedup="fast"),
         lambda r: r["cases"][0].pop("case"),
+        lambda r: r["cases"][0].update(speedup_vs_seed="fast"),
     ],
 )
 def test_bench_record_validator_rejects_malformed(mutate):
-    from repro.analysis.bench import make_bench_record, validate_bench_record
+    from repro.analysis.bench import (
+        make_bench_record,
+        make_table_record,
+        validate_bench_record,
+    )
 
     record = make_bench_record(
         "refinement",
@@ -416,9 +392,67 @@ def test_bench_record_validator_rejects_malformed(mutate):
         quick=True,
     )
     validate_bench_record(record)
+    validate_bench_record(make_table_record("legacy", "Title", "body text"))
     mutate(record)
     with pytest.raises(ReproError):
         validate_bench_record(record)
+
+
+def test_fresh_bench_records_carry_no_recorded_baseline_keys(tmp_path):
+    import json
+
+    from repro.analysis.bench import (
+        make_bench_record,
+        make_table_record,
+        run_bench,
+    )
+
+    made = make_bench_record(
+        "strict",
+        [{"case": "c", "seconds": 0.5, "repeats": 1, "speedup_vs_seed": 4.0}],
+        quick=True,
+    )
+    (path,) = run_bench(["refinement"], quick=True, out_dir=str(tmp_path))
+    with open(path, "r", encoding="utf-8") as fh:
+        ran = json.load(fh)
+    table = make_table_record("legacy", "Title", "body text")
+    # the keys of records that divided by timings from an earlier run
+    for record in (made, ran, table):
+        assert "baseline" not in record
+        for case in record["cases"]:
+            assert not {"baseline_seconds", "speedup"} & case.keys()
+
+
+def test_bench_table_shows_the_in_run_ratio():
+    from repro.analysis.bench import (
+        bench_table,
+        make_bench_record,
+        make_table_record,
+    )
+
+    record = make_bench_record(
+        "strict",
+        [
+            {"case": "wire", "seconds": 0.25, "repeats": 2,
+             "seed_seconds": 7.305, "speedup_vs_seed": 29.22},
+            {"case": "warm", "seconds": 0.5, "repeats": 1,
+             "speedup_vs_cold": 21.0},
+            {"case": "zero", "seconds": 0.0, "repeats": 1,
+             "speedup_vs_pernode": None},
+            {"case": "plain", "seconds": 0.125, "repeats": 1},
+        ],
+        quick=True,
+    )
+    columns, rows = bench_table(record)
+    assert columns == ["case", "seconds", "in-run ratio"]
+    assert rows == [
+        ("wire", "0.2500", "29.22x seed"),
+        ("warm", "0.5000", "21.00x cold"),
+        ("zero", "0.0000", "-"),
+        ("plain", "0.1250", "-"),
+    ]
+    _, rows = bench_table(make_table_record("legacy", "Title", "body"))
+    assert rows == [("legacy", "-", "-")]
 
 
 def test_bench_check_dir_gates_on_malformed_records(tmp_path):
@@ -427,9 +461,7 @@ def test_bench_check_dir_gates_on_malformed_records(tmp_path):
     out = tmp_path / "out"
     with pytest.raises(ReproError):
         check_bench_dir(str(out))  # missing directory
-    written = run_bench(
-        ["refinement"], quick=True, out_dir=str(out), baseline_path=None
-    )
+    written = run_bench(["refinement"], quick=True, out_dir=str(out))
     assert [p.split("/")[-1] for p in written] == ["BENCH_refinement.json"]
     assert check_bench_dir(str(out)) == written
     (out / "BENCH_broken.json").write_text('{"schema": "nope"}')
@@ -441,9 +473,4 @@ def test_bench_unknown_scenario_fails_fast(tmp_path):
     from repro.analysis.bench import run_bench
 
     with pytest.raises(ReproError):
-        run_bench(
-            ["no-such-scenario"],
-            quick=True,
-            out_dir=str(tmp_path),
-            baseline_path=None,
-        )
+        run_bench(["no-such-scenario"], quick=True, out_dir=str(tmp_path))

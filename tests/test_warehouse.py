@@ -353,28 +353,38 @@ def test_golden_cache_roundtrip_byte_identical(tmp_path):
 def test_bench_import_export_roundtrip(tmp_path):
     from repro.analysis.bench import env_fingerprint, write_json
 
-    record = {
+    fresh = {
         "schema": "repro-bench/1",
         "kind": "timing",
         "scenario": "demo",
         "quick": True,
         "env": env_fingerprint(),
-        "baseline": None,
         "cases": [
             {"case": "c1", "seconds": 0.25, "repeats": 2,
-             "baseline_seconds": None, "speedup": None},
+             "seed_seconds": 1.0, "speedup_vs_seed": 4.0},
         ],
     }
-    src = str(tmp_path / "BENCH_demo.json")
-    write_json(src, record)
+    # a record written when bench divided by a recorded baseline file
+    legacy = {
+        **fresh,
+        "scenario": "legacy",
+        "baseline": {"path": "baseline.json", "env": env_fingerprint()},
+        "cases": [
+            {"case": "c1", "seconds": 0.25, "repeats": 2,
+             "baseline_seconds": 1.5, "speedup": 6.0},
+        ],
+    }
     wh_path = str(tmp_path / "wh.sqlite")
-    with Warehouse(wh_path) as wh:
-        fmt, dataset, imported = import_file(wh, src)
-        assert (fmt, dataset, imported) == ("bench", "bench", 1)
-        written = export_bench(wh, str(tmp_path / "out"))
-    assert len(written) == 1
-    with open(src, "rb") as a, open(written[0], "rb") as b:
-        assert a.read() == b.read()
+    for record in (fresh, legacy):
+        src = str(tmp_path / f"BENCH_{record['scenario']}.json")
+        write_json(src, record)
+        with Warehouse(wh_path) as wh:
+            fmt, dataset, imported = import_file(wh, src)
+            assert (fmt, dataset, imported) == ("bench", "bench", 1)
+            written = export_bench(wh, str(tmp_path / record["scenario"]))
+        assert len(written) == 1
+        with open(src, "rb") as a, open(written[0], "rb") as b:
+            assert a.read() == b.read()
 
 
 def test_import_refuses_torn_store(tmp_path):
@@ -523,7 +533,6 @@ def test_trend_table_across_runs(tmp_path):
             "scenario": "demo",
             "quick": True,
             "env": env_fingerprint(),
-            "baseline": None,
             "cases": [{"case": "c1", "seconds": seconds, "repeats": 1}],
         }
 
@@ -596,7 +605,6 @@ class TestWarehouseCLI:
             "scenario": "demo",
             "quick": True,
             "env": env_fingerprint(),
-            "baseline": None,
             "cases": [{"case": "c1", "seconds": 0.125, "repeats": 1}],
         }
         src = str(tmp_path / "BENCH_demo.json")
@@ -607,13 +615,13 @@ class TestWarehouseCLI:
                 "warehouse", "import", wh_path, src, "--label", label,
             ]) == 0
         capsys.readouterr()
-        assert main(["warehouse", "trend", wh_path]) == 0
+        assert main(["report", "--trend", wh_path]) == 0
         text = capsys.readouterr().out
         assert "pr6/quick" in text and "pr7/quick" in text
         trend_md = str(tmp_path / "trend.md")
         assert main(["report", "--trend", wh_path, "--out", trend_md]) == 0
         with open(trend_md) as fh:
-            assert "demo" in fh.read()
+            assert fh.read() == text
         # exporting bench records back out is byte-identical
         assert main([
             "warehouse", "export", wh_path, "--bench", str(tmp_path / "bo"),
@@ -626,7 +634,6 @@ class TestWarehouseCLI:
         "argv",
         [
             ["warehouse", "info", "{db}"],
-            ["warehouse", "trend", "{db}"],
             ["warehouse", "export", "{db}", "sweep", "{out}"],
             ["warehouse", "import", "{db}", "{out}"],
             ["warehouse", "register", "{db}", "sweep", "lifts:2"],
@@ -634,8 +641,8 @@ class TestWarehouseCLI:
             ["sweep", "--corpus", "lifts:2", "--task", "index",
              "--out", "{db}"],
         ],
-        ids=["info", "trend", "export", "import", "register",
-             "report-trend", "sweep"],
+        ids=["info", "export", "import", "register", "report-trend",
+             "sweep"],
     )
     def test_a_file_that_is_not_a_database_exits_2(
         self, tmp_path, capsys, argv
@@ -658,12 +665,10 @@ class TestWarehouseCLI:
             ["warehouse", "info", "{db}"],
             ["warehouse", "export", "{db}", "sweep", "{out}"],
             ["warehouse", "export", "{db}", "--bench", "{out}"],
-            ["warehouse", "trend", "{db}"],
             ["report", "--trend", "{db}"],
             ["obs", "export", "{db}", "--trace-json", "{out}"],
         ],
-        ids=["info", "export", "export-bench", "trend", "report-trend",
-             "obs-export"],
+        ids=["info", "export", "export-bench", "report-trend", "obs-export"],
     )
     def test_a_read_only_command_on_a_missing_database_exits_2(
         self, tmp_path, capsys, argv
@@ -692,5 +697,5 @@ class TestWarehouseCLI:
 
         wh_path = str(tmp_path / "wh.sqlite")
         self._sweep(wh_path)
-        assert main(["warehouse", "trend", wh_path]) != 0
+        assert main(["report", "--trend", wh_path]) != 0
         assert "no timed bench records" in capsys.readouterr().err

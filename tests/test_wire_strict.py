@@ -16,7 +16,7 @@ from repro.sim import run_sync
 from repro.sim.strict import (
     MessagePlane,
     WireWrapped,
-    _decode_message_seed,
+    _decode_message,
     _encode_message_seed,
     _split_message,
     seed_wire_wrapped,
@@ -31,6 +31,7 @@ from repro.views import (
 )
 from repro.views import wire as wire_mod
 from repro.views.wire import (
+    _decode_view_wire_uncached,
     _encode_view_wire_uncached,
     decode_view_wire,
     encode_view_wire,
@@ -298,7 +299,9 @@ class TestHeaderSplitDecode:
                         bits = _encode_message_seed((port, v))
                         assert _split_message(bits.as_str()) is not None
                         fast = plane.decode(bits)
-                        seed = _decode_message_seed(bits)
+                        seed = _decode_message(
+                            bits, _decode_view_wire_uncached
+                        )
                         assert fast[0] == seed[0] == port
                         assert fast[1] is seed[1] is v
 
@@ -309,7 +312,7 @@ class TestHeaderSplitDecode:
         assert splits == (name in SPLIT_THEN_FAIL)
         bits = Bits(message)
         with pytest.raises(Exception) as seed:
-            _decode_message_seed(bits)
+            _decode_message(bits, _decode_view_wire_uncached)
         plane = MessagePlane()
         for attempt in (1, 2):
             with pytest.raises(Exception) as fast:
@@ -320,3 +323,16 @@ class TestHeaderSplitDecode:
             assert not plane._decode_cache
             assert plane.decode_calls == attempt
             assert plane.decode_hits == 0
+
+    def test_empty_message_raises_a_simulation_error(self):
+        """An empty wire string has no fields at all: the full parse
+        refuses it like any other malformed message, on both paths."""
+        bits = Bits("")
+        seed = seed_wire_wrapped(ElectAlgorithm)()
+        with pytest.raises(SimulationError, match="malformed strict COM"):
+            seed._decode(bits)
+        plane = MessagePlane()
+        with pytest.raises(SimulationError, match="malformed strict COM"):
+            plane.decode(bits)
+        assert not plane._decode_cache
+        assert plane.decode_calls == 1 and plane.decode_hits == 0
