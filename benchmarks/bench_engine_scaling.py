@@ -3,10 +3,10 @@
 * simulator throughput: rounds/second and messages/second of the
   synchronous LOCAL engine under COM workloads, across topologies;
 * experiment-engine scaling: wall clock of the same Theorem 3.1 sweep at
-  1, 2 and 4 worker processes — through the *streaming* entry point
-  (``run_stream``), so the bench also covers the bounded-window parallel
-  path — with the determinism contract (parallel records byte-identical
-  to serial) asserted on every run.
+  1, 2 and 4 worker processes through the engine's entry point
+  (``run_stream``, whose parallel path keeps a bounded in-flight window)
+  — with the determinism contract (parallel records byte-identical to
+  serial) asserted on every run.
 
 Not a paper table; this is the substrate-health bench that keeps the
 simulators honest as the library grows (the per-round cost must stay
@@ -98,8 +98,8 @@ def test_experiment_engine_scaling(benchmark):
         start = time.perf_counter()
         # chunk_size=1 keeps the chunks maximally balanced: the speedup
         # bound is the heaviest single graph, not a lumpy chunk.  The
-        # corpus flows through the streaming path, so the timing also
-        # covers the bounded in-flight window, not just Pool.map.
+        # timing covers the bounded in-flight window of the parallel
+        # path.
         records = list(
             run_stream(
                 iter(corpus), "elect",

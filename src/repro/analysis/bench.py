@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 import os
 import platform
 import sys
@@ -957,6 +958,17 @@ def make_table_record(scenario: str, title: str, body: str) -> Dict[str, Any]:
     }
 
 
+def _is_number(value: Any) -> bool:
+    """A finite JSON number: ``bool`` is an ``int`` subclass and
+    ``json.loads`` reads ``NaN`` and ``Infinity``, so neither check is
+    implied by ``isinstance``."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
 def validate_bench_record(record: Any) -> None:
     """Raise :class:`ReproError` unless ``record`` is a well-formed
     ``repro-bench/1`` record (the CI schema gate)."""
@@ -992,15 +1004,15 @@ def validate_bench_record(record: Any) -> None:
             fail(f"cases[{i}] must be an object with a string 'case'")
         if kind == "timing":
             seconds = case.get("seconds")
-            if not isinstance(seconds, (int, float)) or seconds < 0:
+            if not _is_number(seconds) or seconds < 0:
                 fail(f"cases[{i}].seconds must be a non-negative number")
             repeats = case.get("repeats")
-            if not isinstance(repeats, int) or repeats < 1:
+            if type(repeats) is not int or repeats < 1:  # not a bool
                 fail(f"cases[{i}].repeats must be a positive integer")
             ratios = [key for key in case if key.startswith(RATIO_PREFIX)]
             for key in ("baseline_seconds", "speedup", *ratios):
                 value = case.get(key)
-                if value is not None and not isinstance(value, (int, float)):
+                if value is not None and not _is_number(value):
                     fail(f"cases[{i}].{key} must be null or a number")
         else:
             if not isinstance(case.get("text"), str):

@@ -90,8 +90,8 @@ def sweep_elect(
     Delegates to the experiment engine: with ``workers > 1`` the corpus is
     fanned out to worker processes, with results guaranteed
     record-for-record identical to the serial run (the engine's
-    determinism contract).  ``chunk_size`` bounds the per-process view
-    intern table; ``None`` picks a load-balanced default.
+    determinism contract).  ``chunk_size`` is the unit of dispatch to
+    the workers; ``None`` picks the engine's default.
     """
     records = run_experiments(
         corpus, task="elect", workers=workers, chunk_size=chunk_size

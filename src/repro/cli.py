@@ -370,11 +370,20 @@ def _corpus_family_name(spec: str) -> Optional[str]:
     return None
 
 
+def _engine_config(args: argparse.Namespace, task: str):
+    """The run's engine configuration, refusing an unknown task or a bad
+    ``--workers``/``--chunk-size`` before any store opens: opening one
+    without ``--resume`` empties its dataset."""
+    from repro.engine import EngineConfig, get_task
+
+    get_task(task)
+    return EngineConfig(workers=args.workers, chunk_size=args.chunk_size)
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.analysis import format_table
     from repro.analysis.sweep import sweep_to_store
     from repro.engine import (
-        EngineConfig,
         open_result_store,
         records_table,
         records_to_jsonl,
@@ -392,6 +401,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     if args.out:
         check_store_path(args.out)
+    config = _engine_config(args, args.task)
     corpus_iter, size_hint = open_corpus_stream(args.corpus)
     size_text = f"{size_hint} graphs" if size_hint is not None else "streamed"
     print(f"task = {args.task}, corpus = {args.corpus} ({size_text}), "
@@ -416,13 +426,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               + (f" ({skipped} already recorded, skipped)" if skipped else ""))
         return 0
 
-    records = list(
-        run_stream(
-            corpus_iter,
-            args.task,
-            EngineConfig(workers=args.workers, chunk_size=args.chunk_size),
-        )
-    )
+    records = list(run_stream(corpus_iter, args.task, config))
     if not records:
         raise ReproError(f"corpus spec '{args.corpus}' produced no graphs")
     # nested fields (e.g. the per-algorithm list of the `messages` task)
@@ -454,7 +458,7 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
     from repro.analysis.sweep import sweep_to_store
     from repro.conformance import conformance_task_name
     from repro.corpus import get_family
-    from repro.engine import EngineConfig, open_result_store, run_stream
+    from repro.engine import open_result_store, run_stream
     from repro.engine.store import check_store_path
     from repro.warehouse.db import Warehouse
 
@@ -470,6 +474,7 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
     ]
     corpus_iter = chain.from_iterable(streams)
     task = conformance_task_name(schedules=args.schedules, seed=args.seed)
+    config = _engine_config(args, task)
     print(
         f"task = {task}, families = {', '.join(families)} "
         f"({args.count} entries each), workers = {args.workers}"
@@ -508,13 +513,7 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
                 if r.get("task") == task
             )
     else:
-        summary = summarize_conformance(
-            run_stream(
-                corpus_iter,
-                task,
-                EngineConfig(workers=args.workers, chunk_size=args.chunk_size),
-            )
-        )
+        summary = summarize_conformance(run_stream(corpus_iter, task, config))
     columns, rows = family_table(summary)
     print(format_table(columns, rows))
     print()

@@ -4,8 +4,8 @@ The registry (:mod:`repro.corpus.registry`) maps family names to lazy
 ``(name, graph)`` generators; the built-in families
 (:mod:`repro.corpus.families`) cover both sides of the Yamashita-Kameda
 feasibility criterion, from random trees to deliberately infeasible
-vertex-transitive topologies.  Consumers: the streaming engine entry
-point (:func:`repro.engine.run_stream`), ``repro corpus list|emit`` and
+vertex-transitive topologies.  Consumers: the engine's entry point
+(:func:`repro.engine.run_stream`), ``repro corpus list|emit`` and
 ``repro sweep --corpus <family>``.
 """
 

@@ -4,7 +4,7 @@ A *corpus family* is a lazy generator of ``(name, graph)`` entries — the
 unit every sweep consumes.  Families never materialize their corpus:
 ``CorpusFamily.generate`` returns an iterator that builds one graph at a
 time, so a million-entry corpus costs one entry of memory and composes
-with the engine's streaming path (:func:`repro.engine.run_stream`).
+with the engine's entry point (:func:`repro.engine.run_stream`).
 
 Determinism and the prefix contract
     Every family draws all randomness from one ``random.Random(seed)``

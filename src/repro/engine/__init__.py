@@ -1,16 +1,14 @@
 """The parallel experiment engine.
 
 Every sweep and bench in this repository is embarrassingly parallel over
-its corpus — each ``(name, graph)`` entry is measured independently — but
-the measurement loop was historically serial and grew the global view
-intern table without bound.  This package provides the shared engine:
+its corpus — each ``(name, graph)`` entry is measured independently.
+This package provides the one engine that runs them
+(:mod:`repro.engine.engine` states its contract):
 
-* :func:`run_experiments` — fan a corpus out to worker processes in
-  deterministic chunks; results are record-for-record identical to a
-  serial run (see :mod:`repro.engine.engine` for the contract);
-* :func:`run_stream` — the iterator twin for corpora of unknown size:
-  consumes a lazy ``(name, graph)`` stream chunk-by-chunk with bounded
-  memory, yielding the identical records (:mod:`repro.engine.stream`);
+* :func:`run_stream` — consume a lazy ``(name, graph)`` stream chunk by
+  chunk, in-process or across worker processes, with bounded memory,
+  and yield records in corpus order, identical at every worker count;
+* :func:`run_experiments` — its list form, for corpora held in memory;
 * :mod:`repro.engine.store` — ``open_result_store``, the one way to open
   the live result store behind ``repro sweep --out/--resume``: a
   warehouse dataset whose records are keyed by ``(name, task)``, so an
@@ -23,18 +21,19 @@ intern table without bound.  This package provides the shared engine:
 * :mod:`repro.engine.records` — the JSON record schema and canonical
   serialization (documented in ``benchmarks/README.md``).
 
-Consumers: ``repro.analysis.sweep.sweep_elect(..., workers=N)``, the
-``repro sweep`` CLI command, and the heavy benches under ``benchmarks/``.
+Consumers: ``repro.analysis.sweep.sweep_elect(..., workers=N)`` and
+``sweep_to_store``, the ``repro sweep`` and ``repro conformance`` CLI
+commands, and the heavy benches under ``benchmarks/``.
 """
 
 from repro.engine.engine import (
+    DEFAULT_STREAM_CHUNK_SIZE,
+    STREAM_WINDOW_PER_WORKER,
     EngineConfig,
     EngineError,
     available_parallelism,
-    chunk_corpus,
-    default_chunk_size,
-    run,
     run_experiments,
+    run_stream,
 )
 from repro.engine.records import (
     Record,
@@ -44,11 +43,6 @@ from repro.engine.records import (
     records_to_jsonl,
 )
 from repro.engine.store import StoreError, open_result_store, record_key
-from repro.engine.stream import (
-    DEFAULT_STREAM_CHUNK_SIZE,
-    STREAM_WINDOW_PER_WORKER,
-    run_stream,
-)
 from repro.engine.tasks import (
     TASKS,
     TASK_FACTORIES,
@@ -67,9 +61,6 @@ __all__ = [
     "EngineConfig",
     "EngineError",
     "available_parallelism",
-    "chunk_corpus",
-    "default_chunk_size",
-    "run",
     "run_experiments",
     "Record",
     "record_to_json",

@@ -1,17 +1,29 @@
-"""The batched multi-process experiment engine.
+"""The multi-process experiment engine.
 
-``run_experiments`` fans a corpus ``[(name, graph), ...]`` out to worker
-processes in deterministic chunks and returns one JSON record per corpus
-entry, in corpus order, *record-for-record identical* to a serial run.
-The guarantees, and how they are met:
+:func:`run_stream` consumes a lazy ``(name, graph)`` stream chunk by
+chunk, fans the chunks out to worker processes, and yields one JSON
+record per corpus entry, in corpus order, *record-for-record identical*
+to a serial run, never holding the corpus (or the result set) in memory.
+:func:`run_experiments` is its list form.  The guarantees, and how they
+are met:
 
 Determinism
     Tasks are pure functions of the graph (no global RNG), chunking is a
-    pure function of ``(len(corpus), chunk_size)``, every item carries its
-    corpus position, and the aggregator re-sorts by position.  Worker
-    scheduling therefore cannot reorder or alter results, and
+    pure function of ``chunk_size`` and the arrival order, and chunks
+    are yielded in submission order (the serial path trivially, the
+    parallel path by draining a FIFO of ``apply_async`` handles).
+    Worker scheduling therefore cannot reorder or alter results, and
     ``workers=4`` output is byte-identical (under the canonical JSON of
-    :mod:`repro.engine.records`) to ``workers=1`` output.
+    :mod:`repro.engine.records`) to ``workers=1`` output.  A
+    multi-record task (e.g. ``conformance``) yields its record group in
+    order, contiguously.
+
+Bounded memory
+    The serial path holds exactly one chunk at a time.  The parallel
+    path holds at most ``STREAM_WINDOW_PER_WORKER`` chunks per worker in
+    flight (submitted but not yet drained) — the backpressure that plain
+    ``Pool.imap`` lacks: ``imap``'s task-feeder thread drains the
+    *whole* input iterable into its internal queue.
 
 Bounded view caches
     The view intern table (:mod:`repro.views.view`) is process-local and
@@ -39,11 +51,12 @@ platform default elsewhere.
 
 from __future__ import annotations
 
-import math
+import itertools
 import multiprocessing
 import os
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.engine.records import Record
 from repro.engine.tasks import get_task
@@ -53,13 +66,21 @@ from repro.graphs.serialization import from_json, to_json
 from repro.obs import core as obs
 from repro.views.view import clear_view_caches
 
-# (corpus position, name, canonical graph JSON — or the graph itself on
-# the serial path, which crosses no process boundary)
+#: Default chunk size: large enough to amortize per-chunk dispatch,
+#: small enough that one chunk bounds memory.
+DEFAULT_STREAM_CHUNK_SIZE = 8
+
+#: Chunks in flight per worker on the parallel path (submitted, not yet
+#: yielded).  2 keeps every worker busy while one chunk drains.
+STREAM_WINDOW_PER_WORKER = 2
+
+# (corpus position, for error context; name; canonical graph JSON — or
+# the graph itself on the serial path, which crosses no process boundary)
 _ChunkItem = Tuple[int, str, object]
-# (task name, chunk, clear_caches flag, obs span context or None —
-# the parent's trace position, riding the task envelope so worker spans
-# stitch under the submitting span)
-_ChunkPayload = Tuple[str, List[_ChunkItem], bool, Optional[Dict[str, str]]]
+# (task name, chunk, obs span context or None — the parent's trace
+# position, riding the task envelope so worker spans stitch under the
+# submitting span)
+_ChunkPayload = Tuple[str, List[_ChunkItem], Optional[Dict[str, str]]]
 
 
 @dataclass(frozen=True)
@@ -71,16 +92,11 @@ class EngineConfig:
         through the identical chunk runner.
     ``chunk_size``
         Corpus entries per chunk — the unit of work stealing and of graph
-        transport.  ``None`` picks :func:`default_chunk_size`.
-    ``clear_caches``
-        Call ``clear_view_caches()`` after each corpus entry (on by
-        default; disable only for single-shot micro-benchmarks that want
-        warm caches).
+        transport.  ``None`` picks ``DEFAULT_STREAM_CHUNK_SIZE``.
     """
 
     workers: int = 1
     chunk_size: Optional[int] = None
-    clear_caches: bool = True
 
     def __post_init__(self):
         if self.workers < 1:
@@ -91,54 +107,23 @@ class EngineConfig:
             )
 
 
-def default_chunk_size(num_items: int, workers: int) -> int:
-    """Four chunks per worker: large enough to amortize the per-chunk
-    dispatch, small enough to balance load.  The view caches live for one
-    entry whatever the chunk size."""
-    if workers <= 1:
-        return max(1, min(8, num_items))
-    return max(1, math.ceil(num_items / (4 * workers)))
-
-
-def chunk_corpus(
-    corpus: Sequence[Tuple[str, PortGraph]],
-    chunk_size: int,
-    encode: bool = True,
-) -> List[List[_ChunkItem]]:
-    """Deterministically split a corpus into position-tagged chunks of at
-    most ``chunk_size`` entries, in corpus order.  ``encode=True`` ships
-    graphs as canonical JSON (required to cross a process boundary);
-    ``encode=False`` passes the graph objects through — the serial fast
-    path, identical records because the round-trip is exact."""
-    items: List[_ChunkItem] = [
-        (pos, name, to_json(g) if encode else g)
-        for pos, (name, g) in enumerate(corpus)
-    ]
-    return [
-        items[start : start + chunk_size]
-        for start in range(0, len(items), chunk_size)
-    ]
-
-
 def _run_chunk(
     payload: _ChunkPayload,
-) -> Tuple[List[Tuple[int, Record]], List[Dict[str, Any]]]:
+) -> Tuple[List[Record], List[Dict[str, Any]]]:
     """Process one chunk (runs in a worker, or inline when serial): decode
     each graph, apply the task, and drop the process-local view caches
     after each entry, so the intern table stays bounded by one entry.
 
     A multi-record task returns a *list* (its record group, summary
-    last); the group is flattened in order under the entry's corpus
-    position, so downstream sorting — which is stable — keeps groups
-    contiguous and internally ordered.
+    last), which is flattened in order.
 
-    Returns ``(pairs, obs_events)``: when the payload carries a span
+    Returns ``(records, obs_events)``: when the payload carries a span
     context the worker's trace events ship back with the records for the
     parent to :func:`repro.obs.ingest` (empty on the serial path, where
     spans land in the live buffer directly)."""
-    task_name, chunk, clear_caches, obs_ctx = payload
+    task_name, chunk, obs_ctx = payload
     task = get_task(task_name)
-    out: List[Tuple[int, Record]] = []
+    out: List[Record] = []
     with obs.collect_remote(obs_ctx) as collected:
         with obs.span("engine.chunk", task=task_name, items=len(chunk)):
             try:
@@ -152,24 +137,22 @@ def _run_chunk(
                         )
                         result = task(name, graph)
                         if isinstance(result, list):
-                            out.extend((pos, record) for record in result)
+                            out.extend(result)
                         else:
-                            out.append((pos, result))
-                        if clear_caches:
-                            # an entry's views are garbage once its
-                            # record exists, and a later entry would pay
-                            # to re-rank them with its own
-                            clear_view_caches()
-                            if not encoded:
-                                # serial fast path: the caller's graph
-                                # object outlives the entry, so drop the
-                                # derived CSR arrays and the canonical
-                                # form with the other caches — memory
-                                # stays bounded by one entry, not the
-                                # corpus (decoded graphs die with the
-                                # chunk)
-                                graph._csr_cache = None
-                                graph._canon_cache = None
+                            out.append(result)
+                        # an entry's views are garbage once its record
+                        # exists, and a later entry would pay to re-rank
+                        # them with its own
+                        clear_view_caches()
+                        if not encoded:
+                            # serial fast path: the caller's graph object
+                            # outlives the entry, so drop the derived CSR
+                            # arrays and the canonical form with the other
+                            # caches — memory stays bounded by one entry,
+                            # not the corpus (decoded graphs die with the
+                            # chunk)
+                            graph._csr_cache = None
+                            graph._canon_cache = None
                     except EngineError:
                         raise  # already carries context (pickles: str args)
                     except Exception as exc:
@@ -184,73 +167,90 @@ def _run_chunk(
                         ) from exc
             finally:
                 # the error path: an entry that raised left its views
-                if clear_caches:
-                    clear_view_caches()
+                clear_view_caches()
     return out, collected.events
 
 
+def _chunks(
+    corpus_iter: Iterable[Tuple[str, PortGraph]],
+    task: str,
+    chunk_size: int,
+    encode: bool,
+) -> Iterator[_ChunkPayload]:
+    """Lazily cut the stream into position-tagged payloads.
+    ``encode=False`` passes graph objects through instead of canonical
+    JSON — the serial fast path, which crosses no process boundary."""
+    it = iter(corpus_iter)
+    pos = 0
+    while True:
+        block = list(itertools.islice(it, chunk_size))
+        if not block:
+            return
+        chunk = [
+            (pos + offset, name, to_json(g) if encode else g)
+            for offset, (name, g) in enumerate(block)
+        ]
+        pos += len(block)
+        # the parallel path (encode=True) carries the submitting span's
+        # context across the pool; serial chunks record in-process
+        yield (task, chunk, obs.export_context() if encode else None)
+
+
+def run_stream(
+    corpus_iter: Iterable[Tuple[str, PortGraph]],
+    task: str = "elect",
+    config: EngineConfig = EngineConfig(),
+) -> Iterator[Record]:
+    """Run ``task`` over a lazy corpus stream; yield records in corpus
+    order without ever materializing the corpus.
+
+    Records are identical at every worker count and chunk size (the
+    determinism contract); memory is bounded by one chunk on the serial
+    path and by the in-flight window on the parallel path (module
+    docstring).  Unknown tasks fail before the stream is touched.
+    """
+    get_task(task)  # fail fast, before consuming the iterator or forking
+    payloads = _chunks(
+        corpus_iter,
+        task,
+        config.chunk_size or DEFAULT_STREAM_CHUNK_SIZE,
+        encode=config.workers > 1,
+    )
+
+    if config.workers == 1:
+        for payload in payloads:
+            yield from _run_chunk(payload)[0]
+        return
+
+    ctx = multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    )
+    window = config.workers * STREAM_WINDOW_PER_WORKER
+
+    def _drain(handle) -> List[Record]:
+        records, events = handle.get()
+        obs.ingest(events)
+        return records
+
+    with ctx.Pool(processes=config.workers) as pool:
+        pending: deque = deque()
+        for payload in payloads:
+            pending.append(pool.apply_async(_run_chunk, (payload,)))
+            if len(pending) >= window:
+                yield from _drain(pending.popleft())
+        while pending:
+            yield from _drain(pending.popleft())
+
+
 def run_experiments(
-    corpus: Sequence[Tuple[str, PortGraph]],
+    corpus: Iterable[Tuple[str, PortGraph]],
     task: str = "elect",
     workers: int = 1,
     chunk_size: Optional[int] = None,
-    clear_caches: bool = True,
 ) -> List[Record]:
-    """Run ``task`` over every corpus entry; return records in corpus order.
-
-    The convenience wrapper over :class:`EngineConfig` + :func:`run`."""
-    return run(
-        corpus,
-        task,
-        EngineConfig(
-            workers=workers, chunk_size=chunk_size, clear_caches=clear_caches
-        ),
-    )
-
-
-def run(
-    corpus: Sequence[Tuple[str, PortGraph]],
-    task: str,
-    config: EngineConfig,
-) -> List[Record]:
-    """Run ``task`` over ``corpus`` under ``config``; see the module
-    docstring for the determinism and cache-lifecycle contract."""
-    get_task(task)  # fail fast on unknown tasks, before any forking
-    if not corpus:
-        return []
-    chunk_size = (
-        config.chunk_size
-        if config.chunk_size is not None
-        else default_chunk_size(len(corpus), config.workers)
-    )
-    num_chunks = math.ceil(len(corpus) / chunk_size)
-    serial = config.workers == 1 or num_chunks == 1
-    chunks = chunk_corpus(corpus, chunk_size, encode=not serial)
-    # serial chunks run in-process, where spans land in the live buffer;
-    # parallel chunks carry the submitting span's context in the payload
-    # and ship their events back with the records
-    span_ctx = None if serial else obs.export_context()
-    payloads: List[_ChunkPayload] = [
-        (task, chunk, config.clear_caches, span_ctx) for chunk in chunks
-    ]
-
-    if serial:
-        chunk_results = [_run_chunk(p)[0] for p in payloads]
-    else:
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-        )
-        procs = min(config.workers, len(chunks))
-        with ctx.Pool(processes=procs) as pool:
-            replies = pool.map(_run_chunk, payloads)
-        chunk_results = []
-        for pairs, events in replies:
-            chunk_results.append(pairs)
-            obs.ingest(events)
-
-    tagged = [pair for chunk in chunk_results for pair in chunk]
-    tagged.sort(key=lambda pair: pair[0])
-    return [record for _, record in tagged]
+    """Run ``task`` over every corpus entry; return records in corpus
+    order — the list form of :func:`run_stream`."""
+    return list(run_stream(corpus, task, EngineConfig(workers, chunk_size)))
 
 
 def available_parallelism() -> int:

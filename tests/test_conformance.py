@@ -540,6 +540,39 @@ class TestConformanceCli:
         assert "task =" not in captured.out
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--workers", "0"], ["--chunk-size", "0"], ["--schedules", "-1"]],
+        ids=["workers-0", "chunk-size-0", "schedules-minus-1"],
+    )
+    def test_cli_refused_run_leaves_the_store_alone(
+        self, tmp_path, capsys, flags
+    ):
+        """The engine's arguments are checked before the store opens:
+        opening without --resume empties the dataset, and opening a
+        missing path creates it."""
+        from repro.warehouse import Warehouse
+
+        out = str(tmp_path / "c.sqlite")
+        base = ["conformance", "--families", "tori", "--count", "2",
+                "--schedules", "1"]
+        assert cli_main(base + ["--out", out]) == 0
+        with Warehouse(out) as wh:
+            runs = wh.runs()
+            before = list(wh.iter_lines("conformance"))
+        assert before
+        capsys.readouterr()
+        assert cli_main(base + flags + ["--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        with Warehouse(out) as wh:
+            assert wh.runs() == runs
+            assert list(wh.iter_lines("conformance")) == before
+
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        assert cli_main(base + flags + ["--out", str(fresh / "c.sqlite")]) == 2
+        assert list(fresh.iterdir()) == []
+
     def test_cli_resume_requires_out(self, capsys):
         rc = cli_main(["conformance", "--resume"])
         assert rc == 2

@@ -14,14 +14,11 @@ from repro.analysis.sweep import corpus_default, corpus_with_phi, sweep_elect
 from repro.engine import (
     EngineConfig,
     EngineError,
-    chunk_corpus,
-    default_chunk_size,
     records_from_jsonl,
     records_table,
     records_to_jsonl,
     run_experiments,
 )
-from repro.graphs import from_json
 
 
 def _fixed_corpus():
@@ -32,30 +29,8 @@ def _fixed_corpus():
 
 
 # ----------------------------------------------------------------------
-# chunking
+# configuration
 # ----------------------------------------------------------------------
-def test_chunking_partitions_in_order():
-    corpus = _fixed_corpus()
-    chunks = chunk_corpus(corpus, 2)
-    flat = [item for chunk in chunks for item in chunk]
-    assert [pos for pos, _, _ in flat] == list(range(len(corpus)))
-    assert [name for _, name, _ in flat] == [name for name, _ in corpus]
-    assert all(len(chunk) <= 2 for chunk in chunks)
-    # graphs round-trip exactly through the transport encoding
-    for (pos, _, graph_json), (_, g) in zip(flat, corpus):
-        restored = from_json(graph_json)
-        assert restored.n == g.n
-        assert list(restored.edges()) == list(g.edges())
-
-
-def test_default_chunk_size_bounds():
-    assert default_chunk_size(0, 1) == 1
-    assert default_chunk_size(3, 1) == 3
-    assert default_chunk_size(100, 1) == 8
-    assert default_chunk_size(100, 4) == 7  # ceil(100 / 16)
-    assert default_chunk_size(2, 8) == 1
-
-
 def test_engine_config_validation():
     with pytest.raises(EngineError):
         EngineConfig(workers=0)

@@ -1,5 +1,5 @@
-"""The streaming engine entry point: record parity with the batch path,
-bounded corpus residency, and the failure paths of the ISSUE checklist
+"""The engine entry point ``run_stream``: record parity with its list form
+``run_experiments``, bounded corpus residency, and the failure paths
 (worker errors carry context, unknown tasks fail before the stream is
 touched, empty iterators are fine)."""
 
@@ -35,7 +35,7 @@ def _corpus(k=12):
 
 
 # ----------------------------------------------------------------------
-# parity with the batch engine
+# parity with the list form
 # ----------------------------------------------------------------------
 def test_stream_matches_batch_serial_and_parallel():
     corpus = _corpus()

@@ -316,10 +316,8 @@ def test_serial_fast_path_records_equal_parallel_records():
     )
     assert streamed == serial
     # the serial fast path must not pin CSR arrays on the caller's graphs
-    # (the chunk-bounded memory contract); opting out keeps them warm
+    # (the chunk-bounded memory contract)
     assert all(g._csr_cache is None for _, g in corpus)
-    run_experiments(corpus[:1], task="index", workers=1, clear_caches=False)
-    assert corpus[0][1]._csr_cache is not None
 
 
 def test_sync_engine_terminates_on_compose_phase_outputs():
@@ -395,6 +393,30 @@ def test_bench_record_validator_rejects_malformed(mutate):
     validate_bench_record(make_table_record("legacy", "Title", "body text"))
     mutate(record)
     with pytest.raises(ReproError):
+        validate_bench_record(record)
+
+
+@pytest.mark.parametrize("value", ["true", "NaN", "Infinity"])
+@pytest.mark.parametrize(
+    "field",
+    ["seconds", "repeats", "speedup_vs_seed", "speedup_vs_cold",
+     "baseline_seconds", "speedup"],
+)
+def test_bench_record_validator_refuses_booleans_and_non_finite(field, value):
+    """``bool`` is an ``int`` subclass, and ``json.loads`` reads ``NaN``
+    and ``Infinity``: none of them is a timing or a ratio."""
+    import json
+
+    from repro.analysis.bench import make_bench_record, validate_bench_record
+
+    record = make_bench_record(
+        "strict",
+        [{"case": "c", "seconds": 0.5, "repeats": 2, "speedup_vs_seed": 4.0}],
+        quick=True,
+    )
+    validate_bench_record(record)
+    record["cases"][0][field] = json.loads(value)
+    with pytest.raises(ReproError, match=f"cases\\[0\\]\\.{field} must be"):
         validate_bench_record(record)
 
 

@@ -181,13 +181,13 @@ class TestCrossProcess:
         assert shard_ev["attrs"]["fingerprint"] == fingerprint[:16]
 
     def test_engine_worker_envelopes(self):
-        from repro.engine import EngineConfig, run
+        from repro.engine import run_experiments
 
         entries = feasible_corpus()[:4]
         obs.enable()
         with obs.span("parent") as parent:
-            records = run(
-                entries, "index", EngineConfig(workers=2, chunk_size=1)
+            records = run_experiments(
+                entries, "index", workers=2, chunk_size=1
             )
         assert len(records) == len(entries)
         chunk_events = [

@@ -151,11 +151,6 @@ def test_engine_chunks_bound_the_intern_table():
     assert len(records) == 3
     assert intern_table_size() == 0
 
-    # opting out keeps the caches warm (single-shot micro-bench mode)
-    run_experiments(corpus[:1], task="elect", workers=1, clear_caches=False)
-    assert intern_table_size() > 0
-    clear_view_caches()
-
 
 def test_every_entry_of_a_chunk_starts_with_empty_caches(monkeypatch):
     """The caches live one entry, not one chunk: inside a chunk of 8, a

@@ -684,6 +684,40 @@ class TestWarehouseCLI:
         assert err == f"error: warehouse '{db}' does not exist\n"
         assert list(tmp_path.iterdir()) == []  # no db, -wal, -shm or out
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--workers", "0"], ["--chunk-size", "0"], ["--task", "no-such"]],
+        ids=["workers-0", "chunk-size-0", "unknown-task"],
+    )
+    def test_a_refused_sweep_leaves_the_store_alone(
+        self, tmp_path, capsys, flags
+    ):
+        """The engine's arguments are checked before the store opens:
+        opening without --resume empties the dataset, and opening a
+        missing path creates it."""
+        from repro.cli import main
+
+        wh_path = str(tmp_path / "wh.sqlite")
+        self._sweep(wh_path)
+        with Warehouse(wh_path) as wh:
+            runs = wh.runs()
+        sweep = ["sweep", "--corpus", "caterpillars:6,seed=13",
+                 "--task", TASK]
+        capsys.readouterr()
+        assert main(sweep + ["--out", wh_path] + flags) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        with Warehouse(wh_path) as wh:
+            assert wh.runs() == runs
+        out = str(tmp_path / "out.jsonl")
+        assert main(["warehouse", "export", wh_path, "sweep", out]) == 0
+        with open(out, "rb") as fh:
+            assert fh.read() == _reference_bytes("caterpillars:6,seed=13")
+
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        assert main(sweep + ["--out", str(fresh / "new.sqlite")] + flags) == 2
+        assert list(fresh.iterdir()) == []
+
     def test_export_without_dataset_errors(self, tmp_path, capsys):
         from repro.cli import main
 
